@@ -1,11 +1,10 @@
 // Profiler-hook ablation: proves the profiler PR's "disabled hooks are free" claim with
 // numbers instead of prose, and prices the enabled modes.
 //
-//   A — the shipped kernel crossing PLUS the two branches this PR added to the dispatcher's
-//       block/wake path: kernel::Enter, then profiler::OnBlock + profiler::OnUnblock exactly
-//       as kernel::Suspend and kernel::MakeReady now execute them (each is one load of the
-//       g_offcpu gate and one predicted-untaken branch when the profiler is off), then
-//       kernel::Exit.
+//   A — the shipped kernel crossing PLUS the two probe sites of the dispatcher's block/wake
+//       path: kernel::Enter, then the kSuspend + kReady emits exactly as kernel::Suspend and
+//       kernel::MakeReady execute them (each is one load of the probe subscriber mask and one
+//       predicted-untaken branch when nothing subscribes), then kernel::Exit.
 //   B — the pre-PR baseline: the identical kernel::Enter/kernel::Exit crossing with no hook
 //       branches. Both sides run the same shipped Enter/Exit code, so the only delta between
 //       A and B is the pair of gate branches themselves.
@@ -24,6 +23,7 @@
 #include <cstdlib>
 
 #include "src/core/pthread.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/profiler.hpp"
 #include "src/debug/replay.hpp"
 #include "src/kernel/kernel.hpp"
@@ -43,9 +43,9 @@ double MeasureHooked(int64_t iters) {
   return t.MeasureNs([] {
     kernel::Enter();
     Tcb* self = kernel::ks().current;
-    // The exact added instructions: Suspend's hook and MakeReady's hook, gates closed.
-    debug::profiler::OnBlock(self);
-    debug::profiler::OnUnblock(self);
+    // The exact added instructions: Suspend's probe and MakeReady's probe, mask clear.
+    debug::probe::Emit(debug::probe::Event::kSuspend, self, self->id);
+    debug::probe::Emit(debug::probe::Event::kReady, self, self->id);
     kernel::Exit();
   });
 }

@@ -10,7 +10,6 @@
 #include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/kernel/stack_pool.hpp"
-#include "src/sync/fastpath.hpp"
 #include "src/util/dual_loop_timer.hpp"
 
 static_assert(fsup::debug::metrics::MetricsSnapshot::kPoolClasses == fsup::StackPool::kNumClasses,
@@ -38,18 +37,16 @@ struct Globals {
 
 Globals g_state;
 
-#ifndef FSUP_NO_METRICS
-
 // Generation counter for the lazy per-thread reset. Enable(true) bumps it; a TCB whose
 // metrics.epoch is stale has not been touched since enable and its accumulators are garbage
 // from a previous enable span (or from a recycled TCB slot). Lives outside Globals so the
 // accumulator reset in Enable cannot clobber it.
 uint32_t g_epoch = 0;
 
-// Brings t's accumulators into the current epoch. A stale thread has taken no hook since
-// enable time, and hooks fire on every state transition — so it has been sitting in its
-// current state since the clock started. Hooks call this before reading or mutating any
-// per-thread field; state-transition hooks therefore run BEFORE t->state mutates.
+// Brings t's accumulators into the current epoch. A stale thread has seen no event since
+// enable time, and an event fires on every state transition — so it has been sitting in its
+// current state since the clock started. Called before reading or mutating any per-thread
+// field; state-transition events are therefore emitted BEFORE t->state mutates.
 void Touch(Tcb* t) {
   TcbMetrics& m = t->metrics;
   if (m.epoch == g_epoch) {
@@ -86,7 +83,31 @@ int64_t FoldStateTime(Tcb* t, int64_t now) {
   return d;
 }
 
-#endif  // FSUP_NO_METRICS
+void SetState(Tcb* t, ThreadState s) {
+  Touch(t);
+  FoldStateTime(t, NowNs());
+  t->metrics.acct_state = static_cast<uint8_t>(s);
+}
+
+// `to` is already current (the probe fires after the switch bookkeeping) but its state field
+// still reads ready: the time it just spent in ready is its scheduling latency.
+void OnSwitch(Tcb* from, Tcb* to) {
+  Touch(from);
+  Touch(to);
+  if (g_state.next_switch_preempted) {
+    g_state.next_switch_preempted = false;
+    ++g_state.preempted_switches;
+    ++from->metrics.preempted;
+  } else {
+    ++g_state.voluntary_switches;
+    ++from->metrics.voluntary;
+  }
+  const int64_t ready_time = FoldStateTime(to, NowNs());
+  if (to->metrics.acct_state == static_cast<uint8_t>(ThreadState::kReady)) {
+    g_state.sched_latency.Add(ready_time);
+  }
+  to->metrics.acct_state = static_cast<uint8_t>(ThreadState::kRunning);
+}
 
 void FillThreadSnap(const Tcb* t, ThreadSnap* out) {
   out->id = t->id;
@@ -107,88 +128,99 @@ void FillThreadSnap(const Tcb* t, ThreadSnap* out) {
 
 }  // namespace
 
-#ifndef FSUP_NO_METRICS
-
-bool g_enabled = false;
-
 void Enable(bool on) {
   kernel::EnsureInit();
   kernel::Enter();
-  if (on && !g_enabled) {
+  if (on && !Enabled()) {
     g_state = Globals{};
     g_state.enabled_since_ns = NowNs();
     // O(1) regardless of thread count: invalidate instead of walking a million TCBs. Each
-    // thread's accumulators reset lazily (Touch) the first time a hook sees it.
+    // thread's accumulators reset lazily (Touch) the first time an event sees it.
     ++g_epoch;
   }
-  g_enabled = on;
-  // Metrics bracket hold times on the kernel path: demote (or restore) the kernel-bypassing
-  // sync fast paths so every acquisition is observed.
-  sync::fastpath::Recompute();
+  probe::Subscribe(probe::kMetrics, on);
   kernel::Exit();
 }
 
-void OnThreadCreateSlow(Tcb* t) {
-  // A thread born after enable starts its clock now, not at enable time — and its recycled
-  // TCB slot may carry a stale-but-matching epoch from a previous tenant, so the reset is
-  // unconditional.
-  t->metrics = TcbMetrics{};
-  t->metrics.epoch = g_epoch;
-  t->metrics.acct_state = static_cast<uint8_t>(t->state);
-  t->metrics.state_since_ns = NowNs();
-}
-
-int64_t EnabledSinceNs() { return g_state.enabled_since_ns; }
-
-void OnStateChangeSlow(Tcb* t, ThreadState new_state) {
-  Touch(t);
-  FoldStateTime(t, NowNs());
-  t->metrics.acct_state = static_cast<uint8_t>(new_state);
-}
-
-void OnSwitchSlow(Tcb* from, Tcb* to) {
-  Touch(from);
-  Touch(to);
-  if (g_state.next_switch_preempted) {
-    g_state.next_switch_preempted = false;
-    ++g_state.preempted_switches;
-    ++from->metrics.preempted;
-  } else {
-    ++g_state.voluntary_switches;
-    ++from->metrics.voluntary;
+void OnEvent(probe::Event e, Tcb* t, uint32_t b, int64_t since_ns) {
+  using probe::Event;
+  switch (e) {
+    case Event::kCreate:
+      // A thread born after enable starts its clock now, not at enable time — and its
+      // recycled TCB slot may carry a stale-but-matching epoch from a previous tenant, so the
+      // reset is unconditional.
+      t->metrics = TcbMetrics{};
+      t->metrics.epoch = g_epoch;
+      t->metrics.acct_state = static_cast<uint8_t>(t->state);
+      t->metrics.state_since_ns = NowNs();
+      break;
+    case Event::kPreempt:
+      g_state.next_switch_preempted = true;
+      [[fallthrough]];
+    case Event::kReady:
+      SetState(t, ThreadState::kReady);
+      break;
+    case Event::kSuspend:
+      SetState(t, ThreadState::kBlocked);
+      break;
+    case Event::kRun:
+      SetState(t, ThreadState::kRunning);
+      break;
+    case Event::kTerminate:
+      SetState(t, ThreadState::kTerminated);
+      break;
+    case Event::kSwitch:
+      OnSwitch(t, kernel::ks().current);
+      break;
+    case Event::kMutexBlock:
+      // A spurious wakeup re-contends and blocks again: the wait runs from the first block.
+      Touch(t);
+      if (t->metrics.mutex_wait_since_ns == 0) {
+        t->metrics.mutex_wait_since_ns = NowNs();
+        t->metrics.mutex_wait_tag = b;
+      }
+      break;
+    case Event::kMutexLock: {
+      Touch(t);
+      TcbMetrics& m = t->metrics;
+      // The tag check keeps a signal handler's lock of another mutex, taken while this thread
+      // was blocked, from closing the outer wait.
+      if (m.mutex_wait_since_ns != 0 && m.mutex_wait_tag == b) {
+        const int64_t wait_ns = NowNs() - m.mutex_wait_since_ns;
+        m.mutex_wait_since_ns = 0;
+        ++m.mutex_blocks;
+        m.mutex_wait_ns += wait_ns;
+        g_state.mutex_wait.Add(wait_ns);
+      }
+      break;
+    }
+    case Event::kDeadlock:
+      Touch(t);
+      t->metrics.mutex_wait_since_ns = 0;  // the wait ended in EDEADLK, not an acquisition
+      break;
+    case Event::kMutexUnlock:
+      if (since_ns != 0) {
+        g_state.mutex_hold.Add(NowNs() - since_ns);
+      }
+      break;
+    case Event::kSignal:
+      ++g_state.signals_delivered;
+      break;
+    case Event::kFakeCall:
+      Touch(t);
+      ++t->metrics.fake_calls;
+      ++g_state.fake_calls;
+      break;
+    case Event::kTimerTick:
+      ++g_state.timer_ticks;
+      break;
+    case Event::kIdlePoll:
+      ++g_state.idle_polls;
+      break;
+    default:
+      break;
   }
-  // `to` goes ready -> running: the time it just spent in ready is its scheduling latency.
-  const int64_t ready_time = FoldStateTime(to, NowNs());
-  if (to->metrics.acct_state == static_cast<uint8_t>(ThreadState::kReady)) {
-    g_state.sched_latency.Add(ready_time);
-  }
-  to->metrics.acct_state = static_cast<uint8_t>(ThreadState::kRunning);
 }
-
-void MarkPreemptionSlow() { g_state.next_switch_preempted = true; }
-
-void OnMutexWaitSlow(Tcb* t, int64_t wait_ns) {
-  Touch(t);
-  ++t->metrics.mutex_blocks;
-  t->metrics.mutex_wait_ns += wait_ns;
-  g_state.mutex_wait.Add(wait_ns);
-}
-
-void OnMutexHoldSlow(int64_t hold_ns) { g_state.mutex_hold.Add(hold_ns); }
-
-void OnSignalDeliveredSlow(Tcb*) { ++g_state.signals_delivered; }
-
-void OnFakeCallSlow(Tcb* t) {
-  Touch(t);
-  ++t->metrics.fake_calls;
-  ++g_state.fake_calls;
-}
-
-void OnTimerTickSlow() { ++g_state.timer_ticks; }
-
-void OnIdlePollSlow() { ++g_state.idle_polls; }
-
-#endif  // FSUP_NO_METRICS
 
 void Capture(MetricsSnapshot* out) {
   *out = MetricsSnapshot{};
@@ -245,23 +277,19 @@ void Capture(MetricsSnapshot* out) {
   out->mutex_wait = g_state.mutex_wait;
   out->mutex_hold = g_state.mutex_hold;
 
-#ifndef FSUP_NO_METRICS
   // Bring the snapshotted threads' time-in-state current so a snapshot taken mid-run does
   // not hide the open interval of the running thread. Only the threads being copied out are
   // folded — a capture must stay O(kMaxSnapshotThreads) even with a million threads live.
   const int64_t now = Enabled() ? NowNs() : 0;
-#endif
   uint32_t n = 0;
   for (Tcb* t : k.all_threads) {
     if (n >= kMaxSnapshotThreads) {
       break;
     }
-#ifndef FSUP_NO_METRICS
     if (Enabled()) {
       Touch(t);
       FoldStateTime(t, now);
     }
-#endif
     FillThreadSnap(t, &out->threads[n]);
     ++n;
   }

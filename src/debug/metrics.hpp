@@ -1,12 +1,10 @@
 // Per-thread and kernel-wide runtime metrics (paper, Future Work: "Information could be
 // extracted from the thread control block and made available to the user").
 //
-// The dispatcher, the sync paths and the signal machinery call the inline hooks below at
-// every interesting transition. With metrics disabled (the default) each hook is one load
-// and one predicted branch; configuring with -DFSUP_METRICS=OFF defines FSUP_NO_METRICS and
-// compiles the hooks out entirely, restoring the pre-instrumentation code byte for byte.
-// The bench_metrics_ablation binary quantifies the disabled-hook cost against a replica of
-// the uninstrumented fast path.
+// Metrics are a subscriber of the probe stream (debug/probe.hpp): the dispatcher, the sync
+// paths and the signal machinery emit one event at every interesting transition, and with
+// metrics disabled (the default) nothing here runs. The bench_metrics_ablation binary
+// quantifies the disabled cost against a replica of the uninstrumented fast path.
 //
 // Everything here is kernel-safe: fixed storage, no allocation, no syscalls. Aggregation
 // into histograms uses log2 buckets so Add() is a bit-scan plus an increment.
@@ -22,7 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "src/kernel/types.hpp"
+#include "src/debug/probe.hpp"
 
 namespace fsup {
 struct Tcb;
@@ -30,16 +28,11 @@ struct Tcb;
 
 namespace fsup::debug::metrics {
 
-// ---------------------------------------------------------------------------------------
-// Types — unconditionally defined so the snapshot API keeps one ABI across FSUP_METRICS
-// configurations (only the hooks compile out).
-// ---------------------------------------------------------------------------------------
-
 inline constexpr int kHistBuckets = 40;  // log2(ns): bucket i holds [2^(i-1), 2^i) ns
 inline constexpr int kMaxSnapshotThreads = 64;
 
-// Fixed-bucket log2 latency histogram. Header-inline so the FSUP_NO_METRICS configuration
-// stays self-contained (no library symbols needed to consume a snapshot).
+// Fixed-bucket log2 latency histogram. Header-inline so a snapshot can be consumed without
+// library symbols.
 struct LatencyHist {
   uint64_t buckets[kHistBuckets] = {};
   uint64_t count = 0;
@@ -180,8 +173,8 @@ struct MetricsSnapshot {
 };
 
 // Captures a snapshot (enters the kernel unless already inside). Always available; with
-// metrics disabled (or compiled out) the gated fields are zero. Flushes the in-progress
-// time-in-state of every thread so the totals are current to the call.
+// metrics disabled the gated fields are zero. Flushes the in-progress time-in-state of every
+// thread so the totals are current to the call.
 void Capture(MetricsSnapshot* out);
 
 // Human-readable report (counters, percentiles, per-thread table) written to fd via plain
@@ -190,103 +183,20 @@ void Capture(MetricsSnapshot* out);
 // population; large-scale callers pass a small cap and get a "... and N more" footer).
 int DumpText(int fd, uint32_t max_threads = 0);
 
-#ifndef FSUP_NO_METRICS
-
-// One flag read on every hook: the disabled cost is this load + branch.
-extern bool g_enabled;
-inline bool Enabled() { return g_enabled; }
+// True while metrics subscribe to the probe stream.
+inline bool Enabled() { return probe::Subscribed(probe::kMetrics); }
 
 // Enables/disables collection. Enabling resets the global accumulators and bumps the
 // per-thread epoch — O(1) regardless of how many threads are live; each TCB's accumulators
-// are lazily reset the first time a hook touches it afterwards. Also demotes the sync fast
-// paths to the kernel path (sync::fastpath::Recompute) so every acquisition is observed.
-// Enters the kernel.
+// are lazily reset the first time an event touches it afterwards. Subscribing also demotes
+// the sync fast paths to the kernel path (sync::fastpath::Recompute) so every acquisition is
+// observed. Enters the kernel.
 void Enable(bool on);
 
-// -- slow paths (called only when enabled; defined in metrics.cpp) ----------------------
-void OnThreadCreateSlow(Tcb* t);
-void OnStateChangeSlow(Tcb* t, ThreadState new_state);
-void OnSwitchSlow(Tcb* from, Tcb* to);
-void MarkPreemptionSlow();
-void OnMutexWaitSlow(Tcb* t, int64_t wait_ns);
-void OnMutexHoldSlow(int64_t hold_ns);
-void OnSignalDeliveredSlow(Tcb* t);
-void OnFakeCallSlow(Tcb* t);
-void OnTimerTickSlow();
-void OnIdlePollSlow();
-int64_t EnabledSinceNs();
-
-// -- hooks (one predicted branch when disabled) -----------------------------------------
-// State-transition hooks fire BEFORE the state field mutates: the lazy epoch reset reads
-// t->state to learn what the thread has been doing since enable time, so the pre-transition
-// value must still be visible at hook time.
-inline void OnThreadCreate(Tcb* t) {
-  if (g_enabled) {
-    OnThreadCreateSlow(t);
-  }
-}
-inline void OnStateChange(Tcb* t, ThreadState new_state) {
-  if (g_enabled) {
-    OnStateChangeSlow(t, new_state);
-  }
-}
-inline void OnSwitch(Tcb* from, Tcb* to) {
-  if (g_enabled) {
-    OnSwitchSlow(from, to);
-  }
-}
-inline void MarkPreemption() {
-  if (g_enabled) {
-    MarkPreemptionSlow();
-  }
-}
-inline void OnMutexWait(Tcb* t, int64_t wait_ns) {
-  if (g_enabled) {
-    OnMutexWaitSlow(t, wait_ns);
-  }
-}
-inline void OnMutexHold(int64_t hold_ns) {
-  if (g_enabled) {
-    OnMutexHoldSlow(hold_ns);
-  }
-}
-inline void OnSignalDelivered(Tcb* t) {
-  if (g_enabled) {
-    OnSignalDeliveredSlow(t);
-  }
-}
-inline void OnFakeCall(Tcb* t) {
-  if (g_enabled) {
-    OnFakeCallSlow(t);
-  }
-}
-inline void OnTimerTick() {
-  if (g_enabled) {
-    OnTimerTickSlow();
-  }
-}
-inline void OnIdlePoll() {
-  if (g_enabled) {
-    OnIdlePollSlow();
-  }
-}
-
-#else  // FSUP_NO_METRICS: the zero-overhead configuration — hooks vanish at compile time.
-
-constexpr bool Enabled() { return false; }
-inline void Enable(bool) {}
-inline void OnThreadCreate(Tcb*) {}
-inline void OnStateChange(Tcb*, ThreadState) {}
-inline void OnSwitch(Tcb*, Tcb*) {}
-inline void MarkPreemption() {}
-inline void OnMutexWait(Tcb*, int64_t) {}
-inline void OnMutexHold(int64_t) {}
-inline void OnSignalDelivered(Tcb*) {}
-inline void OnFakeCall(Tcb*) {}
-inline void OnTimerTick() {}
-inline void OnIdlePoll() {}
-
-#endif  // FSUP_NO_METRICS
+// The probe subscriber (debug/probe.hpp): folds one event into the counters, histograms and
+// per-thread time-in-state. Mutex wait time runs from a thread's first kMutexBlock to its
+// kMutexLock of the same mutex; hold time from since_ns to kMutexUnlock.
+void OnEvent(probe::Event e, Tcb* t, uint32_t b, int64_t since_ns);
 
 }  // namespace fsup::debug::metrics
 

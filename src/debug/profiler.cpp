@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/core/pthread.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/replay.hpp"
 #include "src/debug/stats_shm.hpp"
 #include "src/hostos/unix_if.hpp"
@@ -31,7 +32,6 @@ extern "C" void* __libc_stack_end;
 
 namespace fsup::debug::profiler {
 
-bool g_offcpu = false;
 bool g_tick_sampling = false;
 volatile bool g_signal_sampling = false;
 
@@ -453,6 +453,19 @@ int CopyMapsSidecar(const char* path) {
 // FSUP_PROFILE_FILE: dump at process exit, same pattern as FSUP_TRACE_FILE.
 char g_atexit_path[512] = {};
 
+// The in-kernel emitters (off-CPU wakes, tick samples) fold eagerly instead of dropping when
+// the ring runs ahead — in-kernel is DrainRing's only precondition. A broadcast at N=4096
+// produces thousands of wake records inside one kernel entry, far faster than the
+// collector's 20ms drain, and in deterministic mode no collector runs at all: the ring's
+// only consumers are these eager folds and the final Stop/Dump drain.
+void EmitInKernel(const Sample& s) {
+  if (g_reserved.load(std::memory_order_relaxed) - g_read.load(std::memory_order_relaxed) >=
+      kRingCap - kRingCap / 4) {
+    DrainRing();
+  }
+  EmitSample(s);
+}
+
 void AtExitDump() {
   if (g_atexit_path[0] != '\0') {
     Dump(g_atexit_path);
@@ -465,7 +478,7 @@ void AtExitDump() {
 // Hot-path hooks
 // ---------------------------------------------------------------------------------------------
 
-void OnBlockSlow(Tcb* t) {
+void OnSuspend(Tcb* t) {
   TcbProfile& p = t->profile;
   p.session = g_session;
   p.block_since_ns = NowNs();
@@ -477,16 +490,17 @@ void OnBlockSlow(Tcb* t) {
     p.block_tag = t->waiting_on_cond->tag;
   }
   // Walk our own live stack: the chain through Suspend and the sync layer up into user code.
-  const uintptr_t fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
-  const WalkBounds b = BoundsFor(t, fp);
-  const auto pc = reinterpret_cast<uintptr_t>(__builtin_return_address(0));
-  uintptr_t pcs[TcbProfile::kMaxDepth];
-  const int depth = WalkFrames(pc, fp, b, pcs, TcbProfile::kMaxDepth);
+  // The first return address is into the probe fan-out; it is dropped so the capture starts
+  // in Suspend.
+  const auto fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
+  uintptr_t pcs[TcbProfile::kMaxDepth + 1];
+  const int walked = WalkFrames(0, fp, BoundsFor(t, fp), pcs, TcbProfile::kMaxDepth + 1);
+  const int depth = walked > 1 ? walked - 1 : 0;
   p.depth = static_cast<uint8_t>(depth);
-  std::memcpy(p.pcs, pcs, sizeof(uintptr_t) * depth);
+  std::memcpy(p.pcs, pcs + 1, sizeof(uintptr_t) * depth);
 }
 
-void OnUnblockSlow(Tcb* t) {
+void OnReady(Tcb* t) {
   TcbProfile& p = t->profile;
   if (t->state != ThreadState::kBlocked || p.depth == 0 || p.session != g_session) {
     return;
@@ -501,14 +515,7 @@ void OnUnblockSlow(Tcb* t) {
   s.depth = p.depth;
   std::memcpy(s.pcs, p.pcs, sizeof(uintptr_t) * p.depth);
   p.depth = 0;  // capture consumed
-  // A broadcast at N=4096 produces thousands of wake records inside one kernel entry — far
-  // faster than the collector's 20ms drain. This emitter is in-kernel (DrainRing's only
-  // precondition), so fold eagerly instead of dropping when the ring runs ahead.
-  if (g_reserved.load(std::memory_order_relaxed) - g_read.load(std::memory_order_relaxed) >=
-      kRingCap - kRingCap / 4) {
-    DrainRing();
-  }
-  EmitSample(s);
+  EmitInKernel(s);
 }
 
 void OnTickSlow() {
@@ -527,14 +534,7 @@ void OnTickSlow() {
   s.kind = 0;
   s.reason = 0;
   s.depth = static_cast<uint8_t>(WalkFrames(pc, fp, b, s.pcs, kMaxDepth));
-  // In-kernel emitter, same overflow discipline as the off-CPU path: with no collector
-  // running in deterministic mode, the ring's only consumers are these eager folds and the
-  // final Stop/Dump drain.
-  if (g_reserved.load(std::memory_order_relaxed) - g_read.load(std::memory_order_relaxed) >=
-      kRingCap - kRingCap / 4) {
-    DrainRing();
-  }
-  EmitSample(s);
+  EmitInKernel(s);
 }
 
 void OnSigprof(void* ucontext) {
@@ -600,7 +600,7 @@ int StartImpl(int hz, bool reset) {
     // Piggyback on the timer tick — a recorded decision — so both runs take identical samples.
     g_tick_sampling = true;
   }
-  g_offcpu = true;
+  probe::Subscribe(probe::kOffCpu, true);
 
   if (const char* shm_path = std::getenv("FSUP_STATS_SHM");
       shm_path != nullptr && shm_path[0] != '\0') {
@@ -656,7 +656,7 @@ int Stop() {
   }
   g_signal_sampling = false;
   g_tick_sampling = false;
-  g_offcpu = false;
+  probe::Subscribe(probe::kOffCpu, false);
   if (g_itimer_armed) {
     DisarmItimer();
     g_itimer_armed = false;
@@ -685,6 +685,8 @@ bool Active() { return g_active; }
 uint64_t SampleCount() { return g_committed.load(std::memory_order_acquire); }
 
 uint64_t DroppedCount() { return g_dropped.load(std::memory_order_relaxed); }
+
+uint64_t OffCpuSampleCount() { return g_offcpu_samples; }
 
 int Dump(const char* path) {
   if (path == nullptr || path[0] == '\0') {

@@ -6,9 +6,10 @@
 // record/replay the itimer is never armed; sampling piggybacks on the (recorded, replayed)
 // timer tick instead, so sample counts are bit-identical across a record→replay pair.
 //
-// Off-CPU: kernel::Suspend snapshots the blocking call stack into the suspending thread's TCB
-// (profile capture buffer); kernel::MakeReady closes the capture into one ring record weighted
-// by blocked nanoseconds and tagged with the wait object (mutex#/cond# tag + BlockReason).
+// Off-CPU: a subscriber of the probe stream. kSuspend snapshots the blocking call stack into
+// the suspending thread's TCB (profile capture buffer); kReady closes the capture into one
+// ring record weighted by blocked nanoseconds and tagged with the wait object (mutex#/cond#
+// tag + BlockReason).
 //
 // A collector — an ordinary library thread — drains the ring periodically, folds samples into
 // (stack hash → weight) aggregates, publishes a seqlock-versioned shared-memory stats block
@@ -18,8 +19,9 @@
 // Export: pt_profile_dump writes flamegraph.pl-compatible folded stacks ("0xPC;0xPC N") with
 // a /proc/self/maps sidecar for offline symbolization; FSUP_PROFILE_FILE arms an atexit dump.
 //
-// Disabled cost: each hook is one predicted branch on a global bool, same discipline as
-// debug/metrics — bench_profiler_ablation holds the "statistically free" bar.
+// Disabled cost: the off-CPU hooks are probe sites (one predicted branch on the subscriber
+// mask), the tick hook one predicted branch on a global bool — bench_profiler_ablation holds
+// the "statistically free" bar.
 
 #ifndef FSUP_SRC_DEBUG_PROFILER_HPP_
 #define FSUP_SRC_DEBUG_PROFILER_HPP_
@@ -63,6 +65,9 @@ int Dump(const char* path);
 uint64_t SampleCount();
 uint64_t DroppedCount();
 
+// Off-CPU samples folded so far, one per closed wait; complete once Stop has drained the ring.
+uint64_t OffCpuSampleCount();
+
 // Environment hooks (FSUP_PROFILE, FSUP_PROFILE_HZ, FSUP_PROFILE_FILE, FSUP_STATS_SHM), called
 // at the tail of kernel::EnsureInit — after replay::InitFromEnv, so mode-dependent sampling
 // setup sees the real replay mode. Re-reads the environment every call (pt_reinit).
@@ -76,29 +81,17 @@ void ShutdownForReinit();
 // Hot-path hooks. One predicted branch when profiling is off.
 // ---------------------------------------------------------------------------------------------
 
-extern bool g_offcpu;                 // off-CPU hooks armed
 extern bool g_tick_sampling;          // deterministic mode: sample from the timer tick
 extern volatile bool g_signal_sampling;  // live mode: SIGPROF branch armed (read in handler)
 
-void OnBlockSlow(Tcb* t);
-void OnUnblockSlow(Tcb* t);
 void OnTickSlow();
 
-// kernel::Suspend, after block_reason is assigned, before the dispatcher runs: capture the
+// Off-CPU attribution, the kOffCpu subscriber of the probe stream (debug/probe.hpp).
+// kSuspend (block_reason and wait object already set, state not yet mutated): capture the
 // blocking stack into t->profile.
-inline void OnBlock(Tcb* t) {
-  if (g_offcpu) {
-    OnBlockSlow(t);
-  }
-}
-
-// kernel::MakeReady, on a thread still in kBlocked state, before any mutation: emit the
-// off-CPU sample for the closing wait.
-inline void OnUnblock(Tcb* t) {
-  if (g_offcpu) {
-    OnUnblockSlow(t);
-  }
-}
+void OnSuspend(Tcb* t);
+// kReady: if t is still blocked, emit the off-CPU sample for the closing wait.
+void OnReady(Tcb* t);
 
 // signals/timers TickImpl: one deterministic on-CPU sample per tick when tick sampling is on
 // (ticks are recorded/replayed decisions, so replay reproduces the exact sample sequence).

@@ -1,5 +1,6 @@
 #include "src/debug/replay.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -8,11 +9,13 @@
 #include <sys/time.h>
 
 #include "src/debug/introspect.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/trace.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sched/perverted.hpp"
+#include "src/sync/fastpath.hpp"
 #include "src/sync/tag.hpp"
 #include "src/signals/sigmodel.hpp"
 #include "src/util/assert.hpp"
@@ -64,6 +67,7 @@ uint64_t g_points[kMaxPoints];
 size_t g_npoints = 0;
 uint64_t g_ordinal = 0;
 uint64_t g_forced_fired = 0;
+bool g_log_forced = false;  // the loaded replay log holds forced switches
 
 char g_atexit_path[512];
 bool g_atexit_registered = false;
@@ -382,6 +386,8 @@ int StartReplay(const char* path) {
   g_len = count;
   g_cursor = 0;
   g_truncated = false;
+  g_log_forced = std::any_of(g_buf, g_buf + count,
+                             [](const LogRecord& r) { return r.kind == Decision::kForced; });
 
   kernel::EnsureInit();
   // Disarm the physical interval timer before the mode flips (the wrapper is not yet
@@ -402,6 +408,7 @@ int StartReplay(const char* path) {
   sync::ResetSyncTags();
   g_mode = static_cast<uint8_t>(Mode::kReplay);
   UpdateFlags();
+  sync::fastpath::Recompute();
   return 0;
 }
 
@@ -412,6 +419,7 @@ void StopReplay() {
   g_mode = static_cast<uint8_t>(Mode::kOff);
   g_need_rearm = false;
   UpdateFlags();
+  sync::fastpath::Recompute();
   kernel::Enter();
   RearmItimer();
   kernel::ExitProtocol();
@@ -478,6 +486,7 @@ void SetPerturbRandom(uint64_t seed, uint32_t permille) {
   g_ordinal = 0;
   g_forced_fired = 0;
   UpdateFlags();
+  sync::fastpath::Recompute();
 }
 
 void SetPerturbPoints(const uint64_t* points, size_t n) {
@@ -490,6 +499,7 @@ void SetPerturbPoints(const uint64_t* points, size_t n) {
   g_ordinal = 0;
   g_forced_fired = 0;
   UpdateFlags();
+  sync::fastpath::Recompute();
 }
 
 void ClearPerturb() {
@@ -498,7 +508,10 @@ void ClearPerturb() {
   g_npoints = 0;
   g_ordinal = 0;
   UpdateFlags();
+  sync::fastpath::Recompute();
 }
+
+bool Perturbing() { return g_perturb_active || (Replaying() && g_log_forced); }
 
 void ResetPerturbOrdinal() {
   g_ordinal = 0;
@@ -658,7 +671,7 @@ void ReplayIdleIo() {
         ++g_cursor;
         ++g_decisions;
         UpdateFlags();
-        trace::Log(trace::Event::kFault, r.a, r.b);
+        probe::Emit(probe::Event::kFault, nullptr, r.a, r.b);
         break;
       }
       case Decision::kIoDone:

@@ -115,6 +115,11 @@ void SetPerturbRandom(uint64_t seed, uint32_t permille);
 void SetPerturbPoints(const uint64_t* points, size_t n);
 
 void ClearPerturb();
+
+// A perturbation is armed, or a replayed log forces switches. Either way every lock and
+// unlock must pass a numbered kernel-exit gate, so the sync fast path is demoted
+// (sync/fastpath.hpp); the perturbation setters and replay start/stop recompute the mode.
+bool Perturbing();
 void ResetPerturbOrdinal();  // start of a fresh exploration run
 uint64_t PerturbOrdinal();
 uint64_t ForcedFired();  // forced switches fired since the ordinal was last reset

@@ -10,7 +10,7 @@
 #include <new>
 
 #include "src/cancel/cancel.hpp"
-#include "src/debug/metrics.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/replay.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
@@ -377,14 +377,15 @@ int ClampedPollTimeoutMs(int64_t remaining_ns) {
   if (remaining_ns <= 0) {
     return 0;
   }
-  const int64_t ms = (remaining_ns + 999999) / 1000000;
+  // Round up without forming remaining_ns + 999999, which overflows for an INT64_MAX budget.
+  const int64_t ms = remaining_ns / 1000000 + (remaining_ns % 1000000 != 0 ? 1 : 0);
   return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
 }
 
 void PollOnce(int64_t timeout_ns) {
   FSUP_ASSERT(kernel::InKernel());
   ResolveBackend();
-  debug::metrics::OnIdlePoll();
+  debug::probe::Emit(debug::probe::Event::kIdlePoll, nullptr);
   ++g_stats.probes;
   if (debug::replay::Replaying()) {
     // The pass is virtualized: no syscall runs; the log supplies the wakeups (and any fault

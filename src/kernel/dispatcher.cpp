@@ -7,9 +7,8 @@
 
 #include <cerrno>
 
-#include "src/debug/metrics.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/replay.hpp"
-#include "src/debug/trace.hpp"
 #include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sched/perverted.hpp"
@@ -32,16 +31,16 @@ void SwitchTo(Tcb* next) {
   // The paper swaps UNIX's global error number with the thread's on every switch.
   cur->err_no = errno;
 
-  // Metrics fire before the state mutation so the epoch-lazy reset can still read the state
-  // `next` held since enable time.
-  debug::metrics::OnSwitch(cur, next);
-  next->state = ThreadState::kRunning;
-  next->block_reason = BlockReason::kNone;
   ++next->switches_in;
   ++k.ctx_switches;
   k.current = next;
+  // Replay first, so the switch's trace record carries the decision it stamps. The probe
+  // fires before the state mutation so the metrics' epoch-lazy reset can still read the state
+  // `next` held since enable time.
   debug::replay::OnSwitch(cur->id, next->id);
-  debug::trace::OnSwitch(cur->id, next->id);
+  debug::probe::Emit(debug::probe::Event::kSwitch, cur, cur->id, next->id);
+  next->state = ThreadState::kRunning;
+  next->block_reason = BlockReason::kNone;
 
   StackPool::EnsureSignalHeadroom(next);
   sig::OnDispatch(next);
@@ -122,11 +121,10 @@ void DispatchKeepKernel() {
     if (cur->state == ThreadState::kRunning) {
       // The running thread stays unless a strictly higher-priority thread is ready.
       if (k.ready.TopPrio() > cur->prio) {
-        debug::metrics::OnStateChange(cur, ThreadState::kReady);
+        debug::probe::Emit(debug::probe::Event::kPreempt, cur, cur->id);
         cur->state = ThreadState::kReady;
         k.ready.PushFront(cur);  // preempted: head of its level, it did not consume its turn
         ++k.preemptions;
-        debug::metrics::MarkPreemption();
         next = k.ready.PopHighest();
       } else {
         return;  // keep running
@@ -151,7 +149,7 @@ void DispatchKeepKernel() {
       }
       if (next == cur) {
         // The current thread yielded / was requeued and won selection again.
-        debug::metrics::OnStateChange(cur, ThreadState::kRunning);
+        debug::probe::Emit(debug::probe::Event::kRun, cur, cur->id);
         cur->state = ThreadState::kRunning;
         cur->block_reason = BlockReason::kNone;
         sig::OnDispatch(cur);

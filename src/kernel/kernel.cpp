@@ -12,6 +12,7 @@
 #include "src/debug/export.hpp"
 #include "src/debug/introspect.hpp"
 #include "src/debug/metrics.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/profiler.hpp"
 #include "src/debug/replay.hpp"
 #include "src/debug/trace.hpp"
@@ -140,11 +141,10 @@ void MakeReady(Tcb* t, bool front) {
     FSUP_ASSERT(k.sigwait_blocked > 0);
     --k.sigwait_blocked;
   }
-  // Off-CPU profiling: close the wait interval opened by Suspend, before any state mutation.
-  debug::profiler::OnUnblock(t);
   // t may be the current thread: a blocked thread with no runnable peer idles on its own
-  // stack inside the dispatcher, and its own timer/IO wakeup re-readies it.
-  debug::metrics::OnStateChange(t, ThreadState::kReady);
+  // stack inside the dispatcher, and its own timer/IO wakeup re-readies it. Emitted before
+  // any state mutation: off-CPU profiling closes the wait interval opened by Suspend.
+  debug::probe::Emit(debug::probe::Event::kReady, t, t->id);
   t->state = ThreadState::kReady;
   t->block_reason = BlockReason::kNone;
   if (front) {
@@ -163,11 +163,12 @@ void Suspend(BlockReason reason) {
   FSUP_ASSERT(k.in_kernel != 0);
   Tcb* self = k.current;
   FSUP_ASSERT(self->state == ThreadState::kRunning);
-  debug::metrics::OnStateChange(self, ThreadState::kBlocked);
-  self->state = ThreadState::kBlocked;
+  // The wait object and reason are set first so off-CPU profiling can tag its stack capture;
+  // the state field still reads running for metrics.
   self->block_reason = reason;
-  // Off-CPU profiling: capture the blocking call stack + wait object while both are live.
-  debug::profiler::OnBlock(self);
+  debug::probe::Emit(debug::probe::Event::kSuspend, self, self->id,
+                     static_cast<uint32_t>(reason));
+  self->state = ThreadState::kBlocked;
   if (reason == BlockReason::kSigwait) {
     ++k.sigwait_blocked;  // paired with the decrement in MakeReady
   }
@@ -181,7 +182,7 @@ void Yield() {
   KernelState& k = ks();
   FSUP_ASSERT(k.in_kernel != 0);
   Tcb* self = k.current;
-  debug::metrics::OnStateChange(self, ThreadState::kReady);
+  debug::probe::Emit(debug::probe::Event::kReady, self, self->id);
   self->state = ThreadState::kReady;
   k.ready.PushBack(self);
   DispatchKeepKernel();

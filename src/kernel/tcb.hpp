@@ -57,9 +57,9 @@ struct CleanupNode {
   CleanupNode* next = nullptr;
 };
 
-// Per-thread metrics accumulators (debug/metrics.hpp). Always present so the TCB layout is
-// identical across FSUP_METRICS configurations; with metrics disabled or compiled out the
-// fields simply stay zero. All mutation happens under the kernel monitor.
+// Per-thread metrics accumulators (debug/metrics.hpp). Always present so the TCB layout does
+// not depend on whether metrics are enabled; with metrics disabled the fields simply stay
+// zero. All mutation happens under the kernel monitor.
 struct TcbMetrics {
   uint64_t voluntary = 0;      // context switches away while blocking/yielding
   uint64_t preempted = 0;      // context switches away forced by preemption / the slice
@@ -71,9 +71,11 @@ struct TcbMetrics {
   int64_t ready_ns = 0;
   int64_t blocked_ns = 0;
   int64_t state_since_ns = 0;  // ...clocked from this stamp (0 = not yet stamped)
-  uint8_t acct_state = 0;      // ThreadState the open interval belongs to
+  int64_t mutex_wait_since_ns = 0;  // first kMutexBlock of the open wait (0 = none open)
+  uint32_t mutex_wait_tag = 0;      // tag of the mutex that wait is for
+  uint8_t acct_state = 0;           // ThreadState the open interval belongs to
   // Lazy-reset generation: metrics::Enable bumps a global epoch instead of walking every
-  // thread; a hook that finds a stale epoch zeroes this struct first (O(1) enable at any
+  // thread; an event that finds a stale epoch zeroes this struct first (O(1) enable at any
   // thread count).
   uint32_t epoch = 0;
 };

@@ -13,10 +13,9 @@
 // repositions the running thread at the tail of its queue when the expiration was caused by
 // time slicing.
 
-#include "src/debug/metrics.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/profiler.hpp"
 #include "src/debug/replay.hpp"
-#include "src/debug/trace.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/signals/fake_call.hpp"
@@ -114,7 +113,6 @@ void TickImpl(bool forced, uint32_t forced_expired, bool forced_slice) {
   KernelState& k = kernel::ks();
   k.itimer_deadline_ns = -1;  // the programmed shot has fired (or we are past it)
   const int64_t now = NowNs();
-  debug::metrics::OnTimerTick();
   // Deterministic-mode profiler sample: the tick is a recorded/replayed decision, so hanging
   // the sample off it (instead of an unsynchronized ITIMER_PROF) gives record and replay
   // bit-identical sample sequences. Covers both the live SIGALRM path and replayed ticks.
@@ -160,17 +158,17 @@ void TickImpl(bool forced, uint32_t forced_expired, bool forced_slice) {
     Tcb* cur = k.current;
     if (cur != nullptr && cur->state == ThreadState::kRunning &&
         cur->policy == SchedPolicy::kRr && !k.ready.empty()) {
-      debug::metrics::OnStateChange(cur, ThreadState::kReady);
+      // Losing the slice is a preemption, not a yield.
+      debug::probe::Emit(debug::probe::Event::kPreempt, cur, cur->id);
       cur->state = ThreadState::kReady;
-      debug::metrics::MarkPreemption();  // losing the slice is a preemption, not a yield
       k.ready.PushBack(cur);
       k.dispatch_pending = 1;
     }
   }
 
   debug::replay::EndTick(slot, expired, slice_fired);
-  debug::trace::Log(debug::trace::Event::kTimerTick,
-                    k.current != nullptr ? k.current->id : 0, expired);
+  debug::probe::Emit(debug::probe::Event::kTimerTick, k.current,
+                     k.current != nullptr ? k.current->id : 0, expired);
   ProgramItimer();
 }
 

@@ -23,9 +23,8 @@
 
 #include "src/arch/ras.hpp"
 #include "src/debug/introspect.hpp"
-#include "src/debug/metrics.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/profiler.hpp"
-#include "src/debug/trace.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/signals/fake_call.hpp"
@@ -167,8 +166,8 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
     }
     if (fi.kind == StackFaultInfo::Kind::kOverflow) {
       Tcb* t = fi.thread;
-      debug::trace::Log(debug::trace::Event::kOverflow, t->id,
-                        static_cast<uint32_t>(t->stack_size));
+      debug::probe::Emit(debug::probe::Event::kOverflow, t, t->id,
+                         static_cast<uint32_t>(t->stack_size));
       log::RawWriteCstr("fsup fatal: stack overflow in thread ");
       log::RawWriteInt(t->id);
       if (t->name[0] != '\0') {
@@ -219,7 +218,8 @@ void SyncHandler(int signo, siginfo_t* info, void* ucv) {
     // masked-thread counter update.
     NoteSigmaskSet(self, saved | a.mask | SigBit(signo));
     ++self->signals_taken;
-    debug::metrics::OnSignalDelivered(self);
+    debug::probe::Emit(debug::probe::Event::kSignal, self, self->id,
+                       static_cast<uint32_t>(signo));
     a.handler(signo);
     NoteSigmaskSet(self, saved);
     ApplyRedirectIfAny();

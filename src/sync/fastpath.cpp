@@ -3,8 +3,8 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/debug/metrics.hpp"
-#include "src/debug/trace.hpp"
+#include "src/debug/probe.hpp"
+#include "src/debug/replay.hpp"
 #include "src/kernel/kernel.hpp"
 
 namespace fsup::sync::fastpath {
@@ -19,13 +19,14 @@ uint8_t g_active = static_cast<uint8_t>(Mode::kRas);
 void Recompute() {
   Mode active = g_requested;
   // Any observer that needs to see every sync operation forces the kernel path: tracing logs
-  // from inside the monitor, metrics bracket hold times there, and the perverted
-  // mutex-switch policy hooks each successful lock. The profiler does NOT demote the mode —
-  // its on-CPU sampler rides the universal signal handler, which restarts an interrupted
-  // fast-path sequence like any other signal, and its off-CPU books only at Suspend (which a
-  // fast-path operation by definition never reaches).
-  if (debug::trace::Enabled() || debug::metrics::Enabled() ||
-      kernel::ks().perverted != PervertedPolicy::kNone) {
+  // from inside the monitor, metrics bracket hold times there, the perverted mutex-switch
+  // policy hooks each successful lock, and an armed schedule perturbation needs every lock and
+  // unlock to pass a kernel-exit gate. Off-CPU profiling does NOT demote the mode — it books
+  // only at Suspend, which a fast-path operation by definition never reaches — and neither
+  // does the on-CPU sampler, which rides the universal signal handler (that restarts an
+  // interrupted fast-path sequence like any other signal).
+  if (debug::probe::Subscribed(debug::probe::kTrace | debug::probe::kMetrics) ||
+      kernel::ks().perverted != PervertedPolicy::kNone || debug::replay::Perturbing()) {
     active = Mode::kOff;
   }
   g_active = static_cast<uint8_t>(active);

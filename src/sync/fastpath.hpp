@@ -14,8 +14,9 @@
 //   FSUP_FASTPATH=cas    — cmpxchg acquire (the instruction the paper wishes every ISA had)
 //
 // The requested mode is what the user asked for; the ACTIVE mode is the requested mode
-// demoted to kOff while tracing, metrics, or a perverted policy is live. Recompute() is
-// called from every toggle (trace::Enable, metrics::Enable, sched::SetPolicy, EnsureInit).
+// demoted to kOff while tracing, metrics, a perverted policy or a schedule perturbation is
+// live. Recompute() is called from every toggle (probe::Subscribe, sched::SetPolicy, the
+// replay module's perturbation setters, EnsureInit).
 
 #ifndef FSUP_SRC_SYNC_FASTPATH_HPP_
 #define FSUP_SRC_SYNC_FASTPATH_HPP_
@@ -41,8 +42,8 @@ inline Mode Active() { return static_cast<Mode>(g_active); }
 void SetRequested(Mode m);
 Mode Requested();
 
-// Re-derives the active byte: requested, demoted to kOff while tracing, metrics, or a
-// perverted scheduling policy is enabled.
+// Re-derives the active byte: requested, demoted to kOff while tracing, metrics, a perverted
+// scheduling policy or a schedule perturbation is enabled.
 void Recompute();
 
 // Parses FSUP_FASTPATH (unset/empty = ras). Called from kernel::EnsureInit.

@@ -5,8 +5,7 @@
 #include "src/sched/perverted.hpp"
 
 #include "src/arch/ras.hpp"
-#include "src/debug/metrics.hpp"
-#include "src/debug/trace.hpp"
+#include "src/debug/probe.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/sched/policy.hpp"
 #include "src/sync/fastpath.hpp"
@@ -80,16 +79,16 @@ int OnAcquired(Mutex* m, Tcb* self) {
       FSUP_CHECK_MSG(self->srp_depth < kMaxCeilDepth, "ceiling mutexes nested too deeply");
       self->srp_stack[self->srp_depth++] = self->prio;
       if (m->ceiling > self->prio) {
-        debug::trace::Log(debug::trace::Event::kPrioBoost, self->id,
-                          static_cast<uint32_t>(m->ceiling));
+        debug::probe::Emit(debug::probe::Event::kPrioBoost, self, self->id,
+                           static_cast<uint32_t>(m->ceiling));
         sched::ApplyPriority(self, m->ceiling, /*to_head=*/true);
       }
       break;
     }
   }
-  debug::trace::Log(debug::trace::Event::kMutexLock, self->id, m->tag);
-  if (debug::metrics::Enabled()) {
-    m->acquired_at_ns = NowNs();  // opens the hold interval sampled by UnlockInKernel
+  debug::probe::Emit(debug::probe::Event::kMutexLock, self, self->id, m->tag);
+  if (debug::probe::Subscribed(debug::probe::kMetrics)) {
+    m->acquired_at_ns = NowNs();  // opens the hold interval closed by UnlockInKernel
   }
   return 0;
 }
@@ -187,18 +186,14 @@ int LockInKernel(Mutex* m, Tcb* self) {
   if (m->owner == self) {
     if (m->type == MutexType::kRecursive) {
       ++m->recursion;
-      debug::trace::Log(debug::trace::Event::kMutexLock, self->id, m->tag);
+      debug::probe::Emit(debug::probe::Event::kMutexLock, self, self->id, m->tag);
       return 0;
     }
     return EDEADLK;
   }
-  int64_t wait_start_ns = 0;  // opened on the first contended pass, closed at acquisition
   while (m->owner != nullptr) {
     if (m->owner == self) {
       // Direct handoff from an unlocker; the owner word never dropped to nullptr.
-      if (wait_start_ns != 0) {
-        debug::metrics::OnMutexWait(self, NowNs() - wait_start_ns);
-      }
       return OnAcquired(m, self);
     }
     // Walk the wait-for graph before blocking: if the owner chain leads back to us, waiting
@@ -206,14 +201,11 @@ int LockInKernel(Mutex* m, Tcb* self) {
     // still release what it holds. Re-checked on every loop iteration because a spurious
     // wakeup re-contends against a possibly different owner.
     if (WouldDeadlock(m, self)) {
-      debug::trace::Log(debug::trace::Event::kDeadlock, self->id, m->tag);
+      debug::probe::Emit(debug::probe::Event::kDeadlock, self, self->id, m->tag);
       return EDEADLK;
     }
-    if (wait_start_ns == 0 && debug::metrics::Enabled()) {
-      wait_start_ns = NowNs();
-    }
     ++m->contended_acquires;
-    debug::trace::Log(debug::trace::Event::kMutexBlock, self->id, m->tag);
+    debug::probe::Emit(debug::probe::Event::kMutexBlock, self, self->id, m->tag);
     if (m->proto == MutexProtocol::kInherit && m->owner != nullptr &&
         m->owner->prio < self->prio) {
       sched::BoostChain(m->owner, self->prio);
@@ -225,9 +217,6 @@ int LockInKernel(Mutex* m, Tcb* self) {
     // Re-check: handoff made us owner, or a fake call woke us spuriously and we re-contend.
   }
   m->owner = self;
-  if (wait_start_ns != 0) {
-    debug::metrics::OnMutexWait(self, NowNs() - wait_start_ns);
-  }
   return OnAcquired(m, self);
 }
 
@@ -238,14 +227,12 @@ void UnlockInKernel(Mutex* m, Tcb* self) {
     // A recursive re-entry being balanced: the mutex stays held, so no protocol restore, no
     // hold-interval close, no handoff.
     --m->recursion;
-    debug::trace::Log(debug::trace::Event::kMutexUnlock, self->id, m->tag);
+    debug::probe::Emit(debug::probe::Event::kMutexUnlock, self, self->id, m->tag);
     return;
   }
-  debug::trace::Log(debug::trace::Event::kMutexUnlock, self->id, m->tag);
-  if (m->acquired_at_ns != 0) {
-    debug::metrics::OnMutexHold(NowNs() - m->acquired_at_ns);
-    m->acquired_at_ns = 0;
-  }
+  debug::probe::Emit(debug::probe::Event::kMutexUnlock, self, self->id, m->tag,
+                     m->acquired_at_ns);
+  m->acquired_at_ns = 0;
 
   // Protocol: lower the priority on unlock.
   switch (m->proto) {
@@ -263,8 +250,8 @@ void UnlockInKernel(Mutex* m, Tcb* self) {
         }
       }
       if (new_prio != self->prio) {
-        debug::trace::Log(debug::trace::Event::kPrioRestore, self->id,
-                          static_cast<uint32_t>(new_prio));
+        debug::probe::Emit(debug::probe::Event::kPrioRestore, self, self->id,
+                           static_cast<uint32_t>(new_prio));
         sched::ApplyPriority(self, new_prio, /*to_head=*/true);
       }
       break;
@@ -284,8 +271,8 @@ void UnlockInKernel(Mutex* m, Tcb* self) {
         }
       }
       if (restored != self->prio) {
-        debug::trace::Log(debug::trace::Event::kPrioRestore, self->id,
-                          static_cast<uint32_t>(restored));
+        debug::probe::Emit(debug::probe::Event::kPrioRestore, self, self->id,
+                           static_cast<uint32_t>(restored));
         // Head placement: the thread was forced into the boost, so it must not lose its turn
         // when the boost ends (paper, discussion of lowering on unlock).
         sched::ApplyPriority(self, restored, /*to_head=*/true);
@@ -353,7 +340,7 @@ int MutexTrylock(Mutex* m) {
   if (m->owner == self) {
     FSUP_ASSERT(m->type == MutexType::kRecursive);
     ++m->recursion;
-    debug::trace::Log(debug::trace::Event::kMutexLock, self->id, m->tag);
+    debug::probe::Emit(debug::probe::Event::kMutexLock, self, self->id, m->tag);
     rc = 0;
   } else if (m->owner != nullptr) {
     rc = EBUSY;

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <vector>
 
 #include "src/core/pthread.hpp"
 #include "src/debug/trace.hpp"
@@ -38,8 +39,9 @@ TEST_F(CInterfaceTest, ObservabilityFromPureC) {
 
   // The C side's user events landed in the ring with their payloads intact.
   bool saw_user = false;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    const debug::trace::Record r = debug::trace::Get(i);
+  std::vector<debug::trace::Record> recs(debug::trace::Capacity());
+  recs.resize(debug::trace::Snapshot(recs.data(), recs.size()));
+  for (const debug::trace::Record& r : recs) {
     if (r.event == debug::trace::Event::kUser && r.a == 1001 && r.b == 2002) {
       saw_user = true;
     }

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "src/core/attr.hpp"
 #include "src/core/bench_probes.hpp"
@@ -287,8 +288,9 @@ TEST_F(FaultTest, InjectionIsRecordedInTheTraceRing) {
   EXPECT_EQ(EAGAIN, pt_create(&t, &big, body, nullptr));
 
   bool saw_fault = false;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    const debug::trace::Record r = debug::trace::Get(i);
+  std::vector<debug::trace::Record> recs(debug::trace::Capacity());
+  recs.resize(debug::trace::Snapshot(recs.data(), recs.size()));
+  for (const debug::trace::Record& r : recs) {
     if (r.event == debug::trace::Event::kFault &&
         r.a == static_cast<uint32_t>(Call::kMmap) && r.b == ENOMEM) {
       saw_fault = true;

@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/core/pthread.hpp"
+#include "src/debug/profiler.hpp"
 #include "src/debug/trace.hpp"
 
 namespace fsup {
@@ -20,15 +22,6 @@ namespace {
 using debug::metrics::LatencyHist;
 using debug::metrics::MetricsSnapshot;
 using debug::metrics::ThreadSnap;
-
-// -DFSUP_METRICS=OFF propagates FSUP_NO_METRICS through the fsup target: the hooks are
-// compiled out, so tests that need live accounting skip. The histogram unit tests, the
-// trace-ring tests and the dump plumbing still run in that configuration.
-#ifdef FSUP_NO_METRICS
-#define REQUIRE_METRICS() GTEST_SKIP() << "metrics compiled out (FSUP_METRICS=OFF)"
-#else
-#define REQUIRE_METRICS() static_cast<void>(0)
-#endif
 
 class MetricsTest : public ::testing::Test {
  protected:
@@ -107,13 +100,14 @@ TEST_F(MetricsTest, DisabledByDefaultAndKernelTotalsStillLive) {
 }
 
 TEST_F(MetricsTest, EnableResetsAndStartsAccounting) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   EXPECT_TRUE(pt_metrics_enabled());
   // Burn a little CPU so the main thread accumulates running time.
-  volatile int sink = 0;
-  for (int i = 0; i < 2000000; ++i) {
-    sink += i;
+  // Unsigned, so the sum may wrap; a plain store, since C++20 deprecates compound
+  // assignment to a volatile.
+  volatile unsigned sink = 0;
+  for (unsigned i = 0; i < 2000000; ++i) {
+    sink = sink + i;
   }
   const MetricsSnapshot s = pt_metrics_snapshot();
   EXPECT_TRUE(s.enabled);
@@ -133,7 +127,6 @@ TEST_F(MetricsTest, EnableResetsAndStartsAccounting) {
 }
 
 TEST_F(MetricsTest, VoluntarySwitchesCountedOnYield) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   pt_thread_t t;
   auto body = +[](void*) -> void* {
@@ -161,7 +154,6 @@ TEST_F(MetricsTest, VoluntarySwitchesCountedOnYield) {
 // ---------------------------------------------------------------------------------------
 
 TEST_F(MetricsTest, UncontendedMutexShowsZeroWaitPercentiles) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   pt_mutex_t m;
   ASSERT_EQ(0, pt_mutex_init(&m));
@@ -184,7 +176,6 @@ struct ContendArgs {
 };
 
 TEST_F(MetricsTest, ContendedMutexShowsNonZeroWaitPercentiles) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   static ContendArgs args;
   ASSERT_EQ(0, pt_mutex_init(&args.m));
@@ -219,7 +210,6 @@ TEST_F(MetricsTest, ContendedMutexShowsNonZeroWaitPercentiles) {
 }
 
 TEST_F(MetricsTest, MutexBlocksAttributedToTheBlockedThread) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   static ContendArgs args;
   ASSERT_EQ(0, pt_mutex_init(&args.m));
@@ -287,10 +277,11 @@ TEST_F(MetricsTest, TraceUserEventLogged) {
   debug::trace::Enable(true);
   pt_trace_user(7, 9);
   debug::trace::Enable(false);
-  ASSERT_GE(debug::trace::Count(), 1u);
+  std::vector<debug::trace::Record> recs(debug::trace::Capacity());
+  recs.resize(debug::trace::Snapshot(recs.data(), recs.size()));
+  ASSERT_GE(recs.size(), 1u);
   bool found = false;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    const debug::trace::Record r = debug::trace::Get(i);
+  for (const debug::trace::Record& r : recs) {
     if (r.event == debug::trace::Event::kUser && r.a == 7 && r.b == 9) {
       found = true;
       EXPECT_GT(r.t_ns, 0);
@@ -304,7 +295,7 @@ TEST_F(MetricsTest, SnapshotConsistentAcrossWrap) {
   const size_t cap = debug::trace::Capacity();
   constexpr uint32_t kOverflow = 257;  // push this many records past a full ring
   for (uint32_t i = 0; i < cap + kOverflow; ++i) {
-    debug::trace::Log(debug::trace::Event::kUser, i, 0);
+    pt_trace_user(i, 0);
   }
   debug::trace::Enable(false);
 
@@ -324,7 +315,7 @@ TEST_F(MetricsTest, SnapshotConsistentAcrossWrap) {
 TEST_F(MetricsTest, SnapshotTruncatesToNewestWhenBufferSmall) {
   debug::trace::Enable(true);
   for (uint32_t i = 0; i < 100; ++i) {
-    debug::trace::Log(debug::trace::Event::kUser, i, 0);
+    pt_trace_user(i, 0);
   }
   debug::trace::Enable(false);
   debug::trace::Record out[10];
@@ -384,7 +375,6 @@ TEST_F(MetricsTest, DumpThreadsUnderLoadShowsEveryLiveThread) {
   }
   EXPECT_NE(std::string::npos, out.find("blocked"));
   EXPECT_NE(std::string::npos, out.find("switches="));
-#ifndef FSUP_NO_METRICS
   EXPECT_NE(std::string::npos, out.find("vol="));  // metrics columns present when enabled
   EXPECT_NE(std::string::npos, out.find("run_us="));
   // No garbage: every run_us= field parses as a non-negative integer.
@@ -398,7 +388,123 @@ TEST_F(MetricsTest, DumpThreadsUnderLoadShowsEveryLiveThread) {
     EXPECT_EQ(1, std::sscanf(out.c_str() + pos, "%lld", &v));
     EXPECT_GE(v, 0);
   }
-#endif
+}
+
+// ---------------------------------------------------------------------------------------
+// The probe fan-out: trace, metrics and off-CPU profiling subscribed at once must agree
+// ---------------------------------------------------------------------------------------
+
+constexpr int kTurnThreads = 3;
+constexpr int kTurnRounds = 20;
+
+struct Turns {
+  pt_mutex_t m;
+  pt_cond_t c;
+  int turn = 0;
+};
+
+struct TurnArg {
+  Turns* turns;
+  int me;
+};
+
+// Threads take turns under one mutex + cond; each yields while still holding the mutex, so
+// the next locker blocks on it.
+void* TakeTurns(void* p) {
+  const auto* arg = static_cast<TurnArg*>(p);
+  Turns* t = arg->turns;
+  for (int i = 0; i < kTurnRounds; ++i) {
+    pt_mutex_lock(&t->m);
+    while (t->turn != arg->me) {
+      pt_cond_wait(&t->c, &t->m);
+    }
+    t->turn = (t->turn + 1) % kTurnThreads;
+    pt_cond_broadcast(&t->c);
+    pt_yield();
+    pt_mutex_unlock(&t->m);
+  }
+  return nullptr;
+}
+
+TEST_F(MetricsTest, ProbeSubscribersAgreeOnOneStream) {
+  constexpr uint32_t kSessionStart = 0xfeed0001;
+  constexpr uint32_t kSessionEnd = 0xfeed0002;
+  Turns turns;
+  ASSERT_EQ(0, pt_mutex_init(&turns.m));
+  ASSERT_EQ(0, pt_cond_init(&turns.c));
+
+  debug::trace::Enable(true);
+  pt_metrics_enable(true);
+  // The markers bracket the off-CPU session: waits that close outside it take no sample.
+  pt_trace_user(kSessionStart, 0);
+  ASSERT_EQ(0, pt_profile_start(0));
+  pt_thread_t th[kTurnThreads];
+  TurnArg args[kTurnThreads];
+  for (int i = 0; i < kTurnThreads; ++i) {
+    args[i] = TurnArg{&turns, i};
+    ASSERT_EQ(0, pt_create(&th[i], nullptr, TakeTurns, &args[i]));
+  }
+  for (pt_thread_t t : th) {
+    ASSERT_EQ(0, pt_join(t, nullptr));
+  }
+  pt_trace_user(kSessionEnd, 0);
+  ASSERT_EQ(0, pt_profile_stop());
+  const MetricsSnapshot s = pt_metrics_snapshot();
+  pt_metrics_enable(false);
+  debug::trace::Enable(false);
+
+  ASSERT_LE(debug::trace::TotalLogged(), debug::trace::Capacity()) << "ring wrapped";
+  std::vector<debug::trace::Record> recs(debug::trace::Capacity());
+  recs.resize(debug::trace::Snapshot(recs.data(), recs.size()));
+
+  using debug::trace::Event;
+  uint64_t switches = 0;
+  uint64_t blocked_acquisitions = 0;
+  uint64_t waits_in_session = 0;
+  bool in_session = false;
+  std::unordered_map<uint32_t, uint32_t> mutex_blocked;  // thread id -> tag it blocked on
+  std::unordered_map<uint32_t, bool> suspended;          // thread id -> suspended in session
+  for (const debug::trace::Record& r : recs) {
+    switch (r.event) {
+      case Event::kSwitch:
+        ++switches;
+        break;
+      case Event::kMutexBlock:
+        mutex_blocked.emplace(r.a, r.b);  // a re-block after a spurious wakeup keeps the first
+        break;
+      case Event::kMutexLock:
+        if (auto it = mutex_blocked.find(r.a); it != mutex_blocked.end() && it->second == r.b) {
+          ++blocked_acquisitions;
+          mutex_blocked.erase(it);
+        }
+        break;
+      case Event::kSuspend:
+        suspended[r.a] = in_session;
+        break;
+      case Event::kReady:
+        if (in_session && suspended[r.a]) {
+          ++waits_in_session;
+        }
+        suspended[r.a] = false;
+        break;
+      case Event::kUser:
+        in_session = r.a == kSessionStart ? true : r.a == kSessionEnd ? false : in_session;
+        break;
+      default:
+        break;
+    }
+  }
+
+  EXPECT_GT(switches, 0u);
+  EXPECT_EQ(switches, s.voluntary_switches + s.preempted_switches);
+  EXPECT_GT(blocked_acquisitions, 0u);
+  EXPECT_EQ(blocked_acquisitions, s.mutex_wait.count);
+  EXPECT_GT(waits_in_session, 0u);
+  EXPECT_EQ(0u, debug::profiler::DroppedCount());
+  EXPECT_EQ(waits_in_session, debug::profiler::OffCpuSampleCount());
+
+  ASSERT_EQ(0, pt_cond_destroy(&turns.c));
+  ASSERT_EQ(0, pt_mutex_destroy(&turns.m));
 }
 
 // ---------------------------------------------------------------------------------------
@@ -409,7 +515,6 @@ volatile sig_atomic_t g_handler_hits = 0;
 void CountingHandler(int) { g_handler_hits = g_handler_hits + 1; }
 
 TEST_F(MetricsTest, SignalDeliveriesCounted) {
-  REQUIRE_METRICS();
   pt_metrics_enable(true);
   g_handler_hits = 0;
   ASSERT_EQ(0, pt_sigaction(SIGUSR1, &CountingHandler, 0));

@@ -199,8 +199,9 @@ TEST_F(MutexTest, SlowPathUsedWhenTracing) {
   ASSERT_EQ(0, pt_mutex_unlock(&m));
   debug::trace::Enable(false);
   bool saw_lock = false, saw_unlock = false;
-  for (size_t i = 0; i < debug::trace::Count(); ++i) {
-    const auto r = debug::trace::Get(i);
+  std::vector<debug::trace::Record> recs(debug::trace::Capacity());
+  recs.resize(debug::trace::Snapshot(recs.data(), recs.size()));
+  for (const debug::trace::Record& r : recs) {
     saw_lock |= r.event == debug::trace::Event::kMutexLock;
     saw_unlock |= r.event == debug::trace::Event::kMutexUnlock;
   }

@@ -15,11 +15,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/core/pthread.hpp"
+#include "src/debug/probe.hpp"
 #include "src/debug/trace.hpp"
 
 namespace fsup {
@@ -355,8 +357,8 @@ TEST_F(TraceExportTest, ExportedWorkloadParsesBackWithSaneFields) {
   const double want_pid = static_cast<double>(::getpid());
   double last_ts = -1.0;
   int begins = 0, ends = 0, instants = 0, metas = 0;
-  bool saw_process_name = false, saw_thread_meta = false, saw_user = false,
-       saw_cond_wait = false;
+  bool saw_process_name = false, saw_thread_meta = false, saw_user = false;
+  std::set<std::string> instant_names;
   for (const std::string& ev : events) {
     const std::string ph = FieldString(ev, "ph");
     ASSERT_FALSE(ph.empty()) << ev;
@@ -395,9 +397,7 @@ TEST_F(TraceExportTest, ExportedWorkloadParsesBackWithSaneFields) {
         EXPECT_TRUE(FieldNumber(ev, "a", &a)) << ev;
         EXPECT_EQ(42.0, a);
       }
-      if (name == "cond-wait") {
-        saw_cond_wait = true;
-      }
+      instant_names.insert(name);
     } else {
       FAIL() << "unexpected ph: " << ev;
     }
@@ -409,9 +409,42 @@ TEST_F(TraceExportTest, ExportedWorkloadParsesBackWithSaneFields) {
   EXPECT_EQ(begins, ends);            // every slice closed
   EXPECT_GT(instants, 0);
   EXPECT_TRUE(saw_user);
-  EXPECT_TRUE(saw_cond_wait);
+  // The sync events and the thread state transitions the workload goes through.
+  for (const char* want : {"cond-wait", "create", "suspend", "ready", "terminate"}) {
+    EXPECT_EQ(1u, instant_names.count(want)) << "no \"" << want << "\" instant";
+  }
   // Thread names from the live TCBs made it into the metadata.
   EXPECT_NE(std::string::npos, json.find("\"name\":\"main\""));
+}
+
+TEST_F(TraceExportTest, EveryProbeEventExportsByName) {
+  // Events the workload above does not reach (preemption, idle polls, faults, ...) are emitted
+  // straight into the probe stream, one of each.
+  using debug::probe::Event;
+  debug::trace::Enable(true);
+  for (int e = 0; e <= static_cast<int>(Event::kIdlePoll); ++e) {
+    debug::probe::Emit(static_cast<Event>(e), nullptr, 1, 2);
+  }
+  debug::trace::Enable(false);
+
+  const std::string path = TempPath("vocabulary");
+  ASSERT_EQ(0, pt_trace_dump(path.c_str()));
+  const std::string json = ReadFile(path);
+  ::unlink(path.c_str());
+  ASSERT_TRUE(JsonParser(json).Valid()) << json.substr(0, 2000);
+
+  std::set<std::string> names;
+  for (const std::string& ev : EventLines(json)) {
+    if (FieldString(ev, "ph") == "i") {
+      names.insert(FieldString(ev, "name"));
+    }
+  }
+  // kSwitch exports as a "running" slice, every other event as an instant under its name.
+  for (int e = 1; e <= static_cast<int>(Event::kIdlePoll); ++e) {
+    const char* name = debug::probe::Name(static_cast<Event>(e));
+    EXPECT_STRNE("?", name) << "event " << e << " has no name";
+    EXPECT_EQ(1u, names.count(name)) << name;
+  }
 }
 
 using TraceExportDeathTest = TraceExportTest;
