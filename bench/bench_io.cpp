@@ -3,13 +3,12 @@
 // N threads each block reading their own pipe; one shared ack pipe carries replies back to
 // the driver. Every round wakes exactly ONE waiter (round-robin single-byte write) and then
 // blocks the driver on the ack — so each round costs two suspensions and two idle-loop
-// readiness probes while N-1 threads stay registered. That shape is the discriminator: the
-// epoll backend pays O(ready)=O(1) per probe against a persistent interest set, while the
-// poll fallback rebuilds and scans all N+1 registered fds per probe, so its per-wait cost
-// grows with N. The acceptance criterion (ISSUE 4): epoll waits/sec at N=4096 within 2x of
-// N=8, and >=90% of steady-state waits performing zero epoll_ctl calls.
+// readiness probes while N-1 threads stay registered. That shape is the discriminator: epoll
+// pays O(ready)=O(1) per probe against a persistent interest set, where a poll(2) rebuild
+// would scan all N+1 registered fds per probe. The acceptance criterion: waits/sec at N=4096
+// within 2x of N=8, and >=90% of steady-state waits performing zero epoll_ctl calls.
 //
-// Writes BENCH_io.json (override with FSUP_IO_JSON), one row per backend x N.
+// Writes BENCH_io.json (override with FSUP_IO_JSON), one row per N.
 
 #include <sys/resource.h>
 #include <unistd.h>
@@ -18,7 +17,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "src/core/pthread.hpp"
 #include "src/hostos/unix_if.hpp"
@@ -32,13 +30,12 @@ constexpr int kCounts[] = {8, 64, 512, 4096};
 constexpr int kMaxThreads = 4096;
 
 struct Row {
-  const char* backend;
   int n = 0;
   int rounds = 0;
   double elapsed_s = 0;
   double waits_per_sec = 0;
   double ctl_per_wait = 0;    // epoll_ctl syscalls per wait (steady state: ~0)
-  double probes_per_wait = 0; // readiness syscalls (epoll_wait or poll) per wait
+  double probes_per_wait = 0; // epoll_wait syscalls per wait
   double ctl_free_fraction = 0;  // waits served purely from the interest cache
   bool valid = false;
 };
@@ -59,17 +56,7 @@ void* EchoThread(void* ap) {
   return nullptr;
 }
 
-// Fewer rounds where a single round is expensive (the poll backend at large N), enough rounds
-// everywhere for stable rates.
-int RoundsFor(bool epoll, int n) {
-  if (epoll) {
-    return 4000;
-  }
-  if (n <= 64) {
-    return 4000;
-  }
-  return n <= 512 ? 1500 : 400;
-}
+constexpr int kRounds = 4000;
 
 bool RaiseFdLimitFor(int n) {
   const rlim_t need = static_cast<rlim_t>(2 * n + 64);
@@ -87,15 +74,14 @@ bool RaiseFdLimitFor(int n) {
   return ::setrlimit(RLIMIT_NOFILE, &rl) == 0;
 }
 
-Row RunOne(const char* backend, int n) {
+Row RunOne(int n) {
   Row row;
-  row.backend = backend;
   row.n = n;
   if (!RaiseFdLimitFor(n)) {
     std::fprintf(stderr, "bench_io: fd limit too low for N=%d, skipping\n", n);
     return row;
   }
-  pt_reinit();  // fresh interest cache + io counters under the requested backend
+  pt_reinit();  // fresh interest cache + io counters
 
   static int pipes[kMaxThreads][2];
   int ack[2];
@@ -131,23 +117,19 @@ Row RunOne(const char* backend, int n) {
     round(i);
   }
 
-  const int rounds = RoundsFor(io::GetStats().epoll_backend, n);
-  row.rounds = rounds;
+  row.rounds = kRounds;
   const io::IoStats s0 = io::GetStats();
   const uint64_t ctl0 = hostos::CallCount(hostos::Call::kEpollCtl);
   const uint64_t ew0 = hostos::CallCount(hostos::Call::kEpollWait);
-  const uint64_t pl0 = hostos::CallCount(hostos::Call::kPoll);
   const int64_t t0 = NowNs();
-  for (int r = 0; r < rounds; ++r) {
+  for (int r = 0; r < kRounds; ++r) {
     round(r % n);
   }
   const int64_t t1 = NowNs();
   const io::IoStats s1 = io::GetStats();
   const uint64_t waits = s1.waits - s0.waits;
   const uint64_t ctl = hostos::CallCount(hostos::Call::kEpollCtl) - ctl0;
-  const uint64_t probes =
-      (hostos::CallCount(hostos::Call::kEpollWait) - ew0) +
-      (hostos::CallCount(hostos::Call::kPoll) - pl0);
+  const uint64_t probes = hostos::CallCount(hostos::Call::kEpollWait) - ew0;
 
   row.elapsed_s = static_cast<double>(t1 - t0) / 1e9;
   row.waits_per_sec = row.elapsed_s > 0 ? static_cast<double>(waits) / row.elapsed_s : 0;
@@ -178,12 +160,11 @@ Row RunOne(const char* backend, int n) {
 
 void Print(const Row& r) {
   if (!r.valid) {
-    std::printf("| %-5s | %5d |   (skipped)\n", r.backend, r.n);
+    std::printf("| %5d |   (skipped)\n", r.n);
     return;
   }
-  std::printf("| %-5s | %5d | %6d | %12.0f | %10.4f | %10.2f | %8.1f%% |\n", r.backend, r.n,
-              r.rounds, r.waits_per_sec, r.ctl_per_wait, r.probes_per_wait,
-              100.0 * r.ctl_free_fraction);
+  std::printf("| %5d | %6d | %12.0f | %10.4f | %10.2f | %8.1f%% |\n", r.n, r.rounds,
+              r.waits_per_sec, r.ctl_per_wait, r.probes_per_wait, 100.0 * r.ctl_free_fraction);
 }
 
 void WriteJson(const char* path, const Row* rows, size_t nrows, double scaling,
@@ -205,10 +186,10 @@ void WriteJson(const char* path, const Row* rows, size_t nrows, double scaling,
     }
     first = false;
     std::fprintf(f,
-                 "  {\"backend\":\"%s\",\"n\":%d,\"rounds\":%d,\"elapsed_s\":%.4f,"
+                 "  {\"n\":%d,\"rounds\":%d,\"elapsed_s\":%.4f,"
                  "\"waits_per_sec\":%.1f,\"epoll_ctl_per_wait\":%.5f,"
                  "\"probe_syscalls_per_wait\":%.3f,\"ctl_free_wait_fraction\":%.4f}",
-                 r.backend, r.n, r.rounds, r.elapsed_s, r.waits_per_sec, r.ctl_per_wait,
+                 r.n, r.rounds, r.elapsed_s, r.waits_per_sec, r.ctl_per_wait,
                  r.probes_per_wait, r.ctl_free_fraction);
   }
   std::fprintf(f,
@@ -226,44 +207,32 @@ int main() {
   pt_init();
 
   constexpr size_t kNCounts = sizeof(kCounts) / sizeof(kCounts[0]);
-  Row rows[2 * kNCounts];
-  size_t nrows = 0;
+  Row rows[kNCounts];
 
   std::printf("I/O readiness scaling — serial single-waiter wakes against N registered "
               "waiters\n");
-  std::printf("| bknd  |     N | rounds |    waits/sec | ctl/wait  | probe/wait |  ctl-free "
-              "|\n");
-
-  ::setenv("FSUP_IO_BACKEND", "epoll", 1);
+  std::printf("|     N | rounds |    waits/sec | ctl/wait  | probe/wait |  ctl-free |\n");
   for (size_t i = 0; i < kNCounts; ++i) {
-    rows[nrows] = RunOne("epoll", kCounts[i]);
-    Print(rows[nrows]);
-    ++nrows;
+    rows[i] = RunOne(kCounts[i]);
+    Print(rows[i]);
   }
-  ::setenv("FSUP_IO_BACKEND", "poll", 1);
-  for (size_t i = 0; i < kNCounts; ++i) {
-    rows[nrows] = RunOne("poll", kCounts[i]);
-    Print(rows[nrows]);
-    ++nrows;
-  }
-  ::unsetenv("FSUP_IO_BACKEND");
   pt_reinit();
 
-  // Acceptance summary: epoll rate at 4096 registered waiters vs 8, and the fraction of
+  // Acceptance summary: rate at 4096 registered waiters vs 8, and the fraction of
   // steady-state waits that made zero epoll_ctl calls.
   double wps8 = 0, wps4096 = 0, ctl_free = 0;
   int ctl_free_rows = 0;
-  for (size_t i = 0; i < nrows; ++i) {
-    if (std::strcmp(rows[i].backend, "epoll") != 0 || !rows[i].valid) {
+  for (const Row& r : rows) {
+    if (!r.valid) {
       continue;
     }
-    if (rows[i].n == 8) {
-      wps8 = rows[i].waits_per_sec;
+    if (r.n == 8) {
+      wps8 = r.waits_per_sec;
     }
-    if (rows[i].n == 4096) {
-      wps4096 = rows[i].waits_per_sec;
+    if (r.n == 4096) {
+      wps4096 = r.waits_per_sec;
     }
-    ctl_free += rows[i].ctl_free_fraction;
+    ctl_free += r.ctl_free_fraction;
     ++ctl_free_rows;
   }
   const double scaling = wps8 > 0 ? wps4096 / wps8 : 0;
@@ -276,7 +245,7 @@ int main() {
               100.0 * ctl_free, ctl_free >= 0.90 ? "PASS" : "FAIL");
 
   const char* jp = std::getenv("FSUP_IO_JSON");
-  WriteJson(jp != nullptr && jp[0] != '\0' ? jp : "BENCH_io.json", rows, nrows, scaling,
+  WriteJson(jp != nullptr && jp[0] != '\0' ? jp : "BENCH_io.json", rows, kNCounts, scaling,
             ctl_free);
   return 0;
 }

@@ -9,10 +9,9 @@
 //
 // The paper predicts test-and-set ≈ restartable sequence on a uniprocessor, and CAS only a
 // couple of cycles more. Also measured: RAS restart frequency under a timer storm, and the
-// same ablation through the PRODUCTION fast path (ISSUE 9) — a full pt_mutex_lock/unlock
-// pair with the acquire mode switched between the owner-word RAS, cmpxchg, and the kernel
-// monitor, so the raw-primitive deltas above can be compared against what they cost once
-// embedded in the real API (validation, Current(), EDEADLK check, mode gate).
+// PRODUCTION fast path — a full pt_mutex_lock/unlock pair through the owner-word RAS and
+// through the kernel monitor, so the raw-primitive deltas above can be compared against what
+// they cost once embedded in the real API (validation, Current(), EDEADLK check, mode gate).
 
 #include <csignal>
 #include <cstdio>
@@ -93,23 +92,20 @@ int main() {
   std::printf("  * compare-and-swap costs only slightly more and removes the RAS handler\n");
   std::printf("    overhead entirely — the paper's argument for providing it in every ISA\n");
 
-  // The same ablation through the shipped API: an uncontended pt_mutex_lock/unlock pair
-  // with the fast-path acquire switched per mode (unlock is always the RAS waiter-check
-  // sequence), and the kill switch as the everything-in-the-kernel reference point.
+  // The same ablation through the shipped API: an uncontended pt_mutex_lock/unlock pair on
+  // the RAS fast path, and the kill switch as the everything-in-the-kernel reference point.
   pt_mutex_t m;
   pt_mutex_init(&m);
   const sync::fastpath::Mode saved = sync::fastpath::Requested();
   const double pt_ras = MeasureMutexPair(&m, sync::fastpath::Mode::kRas);
-  const double pt_cas = MeasureMutexPair(&m, sync::fastpath::Mode::kCas);
   const double pt_off = MeasureMutexPair(&m, sync::fastpath::Mode::kOff);
   sync::fastpath::SetRequested(saved);
   pt_mutex_destroy(&m);
   std::printf("\nProduction fast path — uncontended pt_mutex_lock+unlock pair [ns]\n\n");
   std::printf("  %-44s %8.2f\n", "FSUP_FASTPATH=ras (owner-word RAS acquire)", pt_ras);
-  std::printf("  %-44s %8.2f\n", "FSUP_FASTPATH=cas (cmpxchg acquire)", pt_cas);
   std::printf("  %-44s %8.2f\n", "FSUP_FASTPATH=off (kernel monitor path)", pt_off);
-  std::printf("  fast-path speedup over the kernel path: ras %.1fx, cas %.1fx\n",
-              pt_ras > 0 ? pt_off / pt_ras : 0.0, pt_cas > 0 ? pt_off / pt_cas : 0.0);
+  std::printf("  fast-path speedup over the kernel path: %.1fx\n",
+              pt_ras > 0 ? pt_off / pt_ras : 0.0);
 
   // RAS restarts under a timer storm: a self-re-arming alarm fires every ~50us while the
   // main thread does nothing but execute the lock sequence back to back, so a sizable

@@ -358,7 +358,6 @@ BoostResult RunBoostChain(int chain_len, int fillers, int triggers) {
 struct UncontendedRow {
   double bare_pair_ns = 0;  // xchgb acquire + release store, nothing else
   double ras_pair_ns = 0;   // pt_mutex_lock/unlock, restartable-sequence fast path
-  double cas_pair_ns = 0;   // pt_mutex_lock via cmpxchg, unlock still the RAS sequence
   double off_pair_ns = 0;   // kill switch: the full kernel-monitor path
   double ratio = 0;         // ras_pair / bare_pair — acceptance <= ~2
   bool valid = false;
@@ -396,8 +395,6 @@ UncontendedRow RunUncontended(bool smoke) {
   row.bare_pair_ns = MeasureBarePair(iters);
   sync::fastpath::SetRequested(sync::fastpath::Mode::kRas);
   row.ras_pair_ns = MeasurePtPair(&m, iters);
-  sync::fastpath::SetRequested(sync::fastpath::Mode::kCas);
-  row.cas_pair_ns = MeasurePtPair(&m, iters);
   sync::fastpath::SetRequested(sync::fastpath::Mode::kOff);
   row.off_pair_ns = MeasurePtPair(&m, iters);
   sync::fastpath::SetRequested(saved);
@@ -464,9 +461,9 @@ void WriteJson(const char* path, const BroadcastRow* bc, size_t nbc, const Conte
   std::fputs(",\"uncontended\":", f);
   if (un.valid) {
     std::fprintf(f,
-                 "{\"bare_pair_ns\":%.3f,\"ras_pair_ns\":%.3f,\"cas_pair_ns\":%.3f,"
+                 "{\"bare_pair_ns\":%.3f,\"ras_pair_ns\":%.3f,"
                  "\"off_pair_ns\":%.3f,\"fastpath_vs_bare_ratio\":%.3f}",
-                 un.bare_pair_ns, un.ras_pair_ns, un.cas_pair_ns, un.off_pair_ns, un.ratio);
+                 un.bare_pair_ns, un.ras_pair_ns, un.off_pair_ns, un.ratio);
   } else {
     std::fputs("null", f);
   }
@@ -526,7 +523,6 @@ int main() {
   const UncontendedRow un = RunUncontended(smoke);
   std::printf("  %-44s %8.2f\n", "bare xchgb + release store (baseline)", un.bare_pair_ns);
   std::printf("  %-44s %8.2f\n", "pt pair, FSUP_FASTPATH=ras (default)", un.ras_pair_ns);
-  std::printf("  %-44s %8.2f\n", "pt pair, FSUP_FASTPATH=cas", un.cas_pair_ns);
   std::printf("  %-44s %8.2f\n", "pt pair, FSUP_FASTPATH=off (kernel path)", un.off_pair_ns);
 
   // Flatness acceptance (ISSUE 5): per-waiter broadcast switches and contended throughput

@@ -671,7 +671,7 @@ long pt_read(int fd, void* buf, size_t count) {
       return n;
     }
     if (io::WaitFdReady(fd, POLLIN) != 0) {
-      return -1;  // errno = EINTR
+      return -1;  // errno = EINTR or EAGAIN
     }
   }
 }

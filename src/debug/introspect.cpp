@@ -116,9 +116,7 @@ void DumpThreads(uint32_t max_threads) {
     log::RawWriteCstr("\n");
   }
   const io::IoStats ios = io::GetStats();
-  log::RawWriteCstr("  io[");
-  log::RawWriteCstr(ios.epoll_backend ? "epoll" : "poll");
-  log::RawWriteCstr("] waits=");
+  log::RawWriteCstr("  io waits=");
   log::RawWriteInt(static_cast<int64_t>(ios.waits));
   log::RawWriteCstr(" wakeups=");
   log::RawWriteInt(static_cast<int64_t>(ios.wakeups));

@@ -256,7 +256,6 @@ void Capture(MetricsSnapshot* out) {
   out->io_probes = ios.probes;
   out->io_active_waiters = ios.active_waiters;
   out->io_cached_fds = ios.cached_fds;
-  out->io_epoll_backend = ios.epoll_backend;
   const StackPool& pool = *k.pool;
   out->pool_mapped_bytes = pool.mapped_bytes();
   out->pool_mapped_hw_bytes = pool.mapped_hw_bytes();
@@ -333,9 +332,8 @@ int DumpText(int fd, uint32_t max_threads) {
        static_cast<unsigned long long>(s.ras_restarts),
        static_cast<unsigned long long>(s.timer_ticks),
        static_cast<unsigned long long>(s.idle_polls));
-  emit("  io[%s] waits=%llu wakeups=%llu cache_hits=%llu cache_misses=%llu demotions=%llu "
+  emit("  io waits=%llu wakeups=%llu cache_hits=%llu cache_misses=%llu demotions=%llu "
        "probes=%llu active_waiters=%d cached_fds=%d\n",
-       s.io_epoll_backend ? "epoll" : "poll",
        static_cast<unsigned long long>(s.io_waits),
        static_cast<unsigned long long>(s.io_wakeups),
        static_cast<unsigned long long>(s.io_cache_hits),

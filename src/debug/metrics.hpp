@@ -144,7 +144,6 @@ struct MetricsSnapshot {
   uint64_t io_probes = 0;
   int32_t io_active_waiters = 0;
   int32_t io_cached_fds = 0;
-  bool io_epoll_backend = false;
 
   // Stack pool (live regardless of the metrics flag — the pool keeps its own counters).
   struct PoolClassSnap {

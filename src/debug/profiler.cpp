@@ -325,7 +325,6 @@ void PublishShm() {
   s->io_cache_misses = ios.cache_misses;
   s->io_active_waiters = ios.active_waiters;
   s->io_cached_fds = ios.cached_fds;
-  s->io_epoll_backend = ios.epoll_backend ? 1 : 0;
 
   TopStacks(*g_oncpu_agg, s->top_oncpu, kStatsShmTopStacks);
   TopStacks(*g_offcpu_agg, s->top_offcpu, kStatsShmTopStacks);

@@ -21,7 +21,7 @@
 namespace fsup::debug {
 
 inline constexpr uint32_t kStatsShmMagic = 0x70755346;  // "FsUp"
-inline constexpr uint32_t kStatsShmVersion = 1;
+inline constexpr uint32_t kStatsShmVersion = 2;
 inline constexpr int kStatsShmTopStacks = 8;   // hottest on-CPU / most-blocked rows exported
 inline constexpr int kStatsShmMaxDepth = 8;    // frames kept per exported stack
 inline constexpr int kStatsShmStackClasses = 10;  // == StackPool::kNumClasses (static_assert
@@ -88,8 +88,6 @@ struct StatsShm {
   uint64_t io_cache_misses = 0;
   int32_t io_active_waiters = 0;
   int32_t io_cached_fds = 0;
-  uint32_t io_epoll_backend = 0;
-  uint32_t pad0 = 0;
 
   StatsShmStack top_oncpu[kStatsShmTopStacks];
   StatsShmStack top_offcpu[kStatsShmTopStacks];

@@ -164,20 +164,21 @@ int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t tim
     }
     pwait2_works = false;
   }
-  int timeout_ms;
-  if (timeout_ns < 0) {
-    timeout_ms = -1;
-  } else {
-    // Round up so a short sleep cannot busy-spin, clamp so a far-future deadline cannot
-    // overflow int (same hazard as the poll fallback path).
-    const int64_t ms = (timeout_ns + 999999) / 1000000;
-    timeout_ms = ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
-  }
+  const int timeout_ms = timeout_ns < 0 ? -1 : ClampedPollTimeoutMs(timeout_ns);
   g_last_poll_timeout_ms = timeout_ms;
   return ::epoll_wait(epfd, events, maxevents, timeout_ms);
 }
 
 int LastPollTimeoutMs() { return g_last_poll_timeout_ms; }
+
+int ClampedPollTimeoutMs(int64_t remaining_ns) {
+  if (remaining_ns <= 0) {
+    return 0;
+  }
+  // Round up without forming remaining_ns + 999999, which overflows for an INT64_MAX budget.
+  const int64_t ms = remaining_ns / 1000000 + (remaining_ns % 1000000 != 0 ? 1 : 0);
+  return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
+}
 
 void* ShmMapStats(const char* path, size_t size) {
   Bump(Call::kShmMap);

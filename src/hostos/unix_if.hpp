@@ -53,6 +53,7 @@ int Kill(pid_t pid, int signo);
 
 // Counted poll(2). Returns like the raw call; EINTR is NOT retried here because an interrupt
 // is meaningful to the idle loop (a deferred signal must be replayed) — io::PollOnce decides.
+// The idle loop calls it with zero fds when no epoll instance exists.
 int Poll(struct pollfd* fds, nfds_t n, int timeout_ms);
 
 // Counted epoll wrappers for the io readiness core. EpollCreate returns the epoll fd (with
@@ -67,6 +68,12 @@ int EpollPwait2(int epfd, struct epoll_event* events, int maxevents, int64_t tim
 // Telemetry for tests: the millisecond timeout handed to the most recent Poll (or ms-fallback
 // EpollPwait2) call. Pins the far-future-deadline clamp without racing real time.
 int LastPollTimeoutMs();
+
+// Converts a remaining-time budget to a poll(2)/epoll_wait(2) millisecond timeout: rounds up
+// (a short sleep must not busy-spin) and clamps to INT_MAX (a far-future deadline must not
+// overflow int, which would turn a bounded wait into an infinite or zero-timeout poll).
+// remaining_ns <= 0 gives 0; callers map "no deadline" to -1 themselves.
+int ClampedPollTimeoutMs(int64_t remaining_ns);
 
 // Creates-or-opens `path`, sizes it to `size` and maps it MAP_SHARED read-write — the
 // runtime side of the FSUP_STATS_SHM stats segment (tools/fsup_top maps the same file

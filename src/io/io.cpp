@@ -5,8 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <climits>
-#include <cstdlib>
 #include <new>
 
 #include "src/cancel/cancel.hpp"
@@ -22,18 +20,16 @@
 namespace fsup::io {
 namespace {
 
-enum class Backend : uint8_t { kUnresolved, kEpoll, kPoll };
-
 // Power of two; fd-keyed registries are small (the node count tracks *waited* fds, not open
 // ones), so collisions just lengthen a short chain.
 constexpr uint32_t kHashBuckets = 128;
 constexpr int kMaxEventsPerWait = 64;
 
-// One node per fd that currently has (or recently had) waiters. Under the epoll backend the
-// node IS the interest cache: `interest` mirrors what the kernel's interest set holds for this
-// fd, so a wait whose mask fits inside it makes no epoll_ctl call at all. Waiting threads hang
-// off `waiters` through Tcb::link (a thread blocks on at most one wait queue), which lifts the
-// seed's 64-waiter cap and makes enqueue/dequeue/ForgetThread O(1).
+// One node per fd that currently has (or recently had) waiters. The node IS the interest
+// cache: `interest` mirrors what the kernel's interest set holds for this fd, so a wait whose
+// mask fits inside it makes no epoll_ctl call at all. Waiting threads hang off `waiters`
+// through Tcb::link (a thread blocks on at most one wait queue), which lifts the seed's
+// 64-waiter cap and makes enqueue/dequeue/ForgetThread O(1).
 struct FdState {
   int fd = -1;
   uint32_t interest = 0;    // epoll event mask the kernel currently watches for us
@@ -43,18 +39,12 @@ struct FdState {
   FdState* next = nullptr;  // hash chain / freelist link
 };
 
-Backend g_backend = Backend::kUnresolved;
 int g_epfd = -1;
 FdState* g_buckets[kHashBuckets] = {};
 FdState* g_free = nullptr;  // recycled nodes; allocation happens only on first use of an fd
 int g_active = 0;           // threads suspended on some fd
-int g_cached = 0;           // live FdState nodes (== interest-cache entries under epoll)
+int g_cached = 0;           // live FdState nodes (== interest-cache entries)
 IoStats g_stats;
-
-// poll-backend scratch, rebuilt each pass like the seed but dynamically sized.
-pollfd* g_pollfds = nullptr;
-FdState** g_pollslots = nullptr;
-uint32_t g_pollcap = 0;
 
 uint32_t BucketOf(int fd) {
   return (static_cast<uint32_t>(fd) * 2654435761u) >> 25;  // top 7 bits: 128 buckets
@@ -74,26 +64,13 @@ uint32_t ToEpollMask(short events) {
   return m;
 }
 
-uint32_t PollReventsToEpoll(short revents) {
-  uint32_t m = ToEpollMask(revents);
-  if ((revents & (POLLERR | POLLHUP | POLLNVAL)) != 0) {
-    m |= EPOLLERR;  // error-class readiness wakes every waiter, as in poll(2)
+// The epoll instance is created by the first fd wait, so a process that never waits on an fd
+// never owns one. A failed creation fails only the wait that hit it; the next wait retries.
+bool EnsureEpoll() {
+  if (g_epfd < 0) {
+    g_epfd = hostos::EpollCreate();
   }
-  return m;
-}
-
-void ResolveBackend() {
-  if (g_backend != Backend::kUnresolved) {
-    return;
-  }
-  const char* v = std::getenv("FSUP_IO_BACKEND");
-  if (v != nullptr && v[0] == 'p') {
-    g_backend = Backend::kPoll;
-    return;
-  }
-  g_epfd = hostos::EpollCreate();
-  // No epoll instance (injected fault, exotic host): the poll path serves every wait.
-  g_backend = g_epfd >= 0 ? Backend::kEpoll : Backend::kPoll;
+  return g_epfd >= 0;
 }
 
 FdState* GetOrCreate(int fd) {
@@ -252,8 +229,13 @@ int EpollPass(int64_t deadline_ns) {
       budget_ns = remaining > 0 ? remaining : 0;
     }
     // Signals are unblocked here (the idle loop ensures it); they interrupt the sleep and are
-    // replayed by the dispatcher since the kernel flag is set.
-    rc = hostos::EpollPwait2(g_epfd, evs, kMaxEventsPerWait, budget_ns);
+    // replayed by the dispatcher since the kernel flag is set. Without an epoll instance no
+    // thread waits on an fd, so the sleep waits for timers and signals alone.
+    if (g_epfd >= 0) {
+      rc = hostos::EpollPwait2(g_epfd, evs, kMaxEventsPerWait, budget_ns);
+    } else {
+      rc = hostos::Poll(nullptr, 0, budget_ns < 0 ? -1 : hostos::ClampedPollTimeoutMs(budget_ns));
+    }
     if (rc >= 0) {
       break;
     }
@@ -274,128 +256,29 @@ int EpollPass(int64_t deadline_ns) {
   return woke;
 }
 
-bool GrowPollScratch(uint32_t need) {
-  if (need <= g_pollcap) {
-    return true;
-  }
-  uint32_t cap = g_pollcap == 0 ? 64 : g_pollcap;
-  while (cap < need) {
-    cap *= 2;
-  }
-  auto* fds = new (std::nothrow) pollfd[cap];
-  auto* slots = new (std::nothrow) FdState*[cap];
-  if (fds == nullptr || slots == nullptr) {
-    delete[] fds;
-    delete[] slots;
-    return false;
-  }
-  delete[] g_pollfds;
-  delete[] g_pollslots;
-  g_pollfds = fds;
-  g_pollslots = slots;
-  g_pollcap = cap;
-  return true;
-}
-
-int PollPass(int64_t deadline_ns) {
-  // The seed's strategy, cap lifted: rebuild a pollfd array from every fd that has waiters
-  // (O(registered) per pass — the cost the epoll backend exists to avoid).
-  nfds_t n = 0;
-  if (GrowPollScratch(static_cast<uint32_t>(g_cached))) {
-    for (FdState* bucket : g_buckets) {
-      for (FdState* s = bucket; s != nullptr; s = s->next) {
-        if (s->waiter_count == 0) {
-          continue;
-        }
-        short ev = 0;
-        for (Tcb* t : s->waiters) {
-          ev |= t->io_events;
-        }
-        g_pollfds[n].fd = s->fd;
-        g_pollfds[n].events = ev;
-        g_pollfds[n].revents = 0;
-        g_pollslots[n] = s;
-        ++n;
-      }
-    }
-    // Hash-chain order depends on node recycling history; sort by fd so the pass order —
-    // and with it the wake order of same-readiness fds — is a stable function of the fd set.
-    for (nfds_t i = 1; i < n; ++i) {
-      pollfd pf = g_pollfds[i];
-      FdState* sl = g_pollslots[i];
-      nfds_t j = i;
-      for (; j > 0 && g_pollfds[j - 1].fd > pf.fd; --j) {
-        g_pollfds[j] = g_pollfds[j - 1];
-        g_pollslots[j] = g_pollslots[j - 1];
-      }
-      g_pollfds[j] = pf;
-      g_pollslots[j] = sl;
-    }
-  }
-  int rc;
-  for (;;) {
-    int timeout_ms = -1;
-    if (deadline_ns >= 0) {
-      timeout_ms = ClampedPollTimeoutMs(deadline_ns - NowNs());
-    }
-    rc = hostos::Poll(n > 0 ? g_pollfds : nullptr, n, timeout_ms);
-    if (rc >= 0) {
-      break;
-    }
-    if (!RetryAfterEintr(deadline_ns)) {
-      return 0;
-    }
-  }
-  if (rc == 0) {
-    return 0;  // timeout
-  }
-  int woke = 0;
-  for (nfds_t i = 0; i < n; ++i) {
-    if (g_pollfds[i].revents == 0) {
-      continue;
-    }
-    FdState* s = g_pollslots[i];
-    woke += WakeMatching(s, PollReventsToEpoll(g_pollfds[i].revents));
-    MaybeReclaim(s);  // poll nodes hold no kernel registration worth caching
-  }
-  return woke;
-}
-
 }  // namespace
 
 IoStats GetStats() {
   IoStats out = g_stats;
   out.active_waiters = g_active;
   out.cached_fds = g_cached;
-  out.epoll_backend = g_backend == Backend::kEpoll;
   return out;
 }
 
 bool HaveWaiters() { return g_active > 0; }
 
-int ClampedPollTimeoutMs(int64_t remaining_ns) {
-  if (remaining_ns <= 0) {
-    return 0;
-  }
-  // Round up without forming remaining_ns + 999999, which overflows for an INT64_MAX budget.
-  const int64_t ms = remaining_ns / 1000000 + (remaining_ns % 1000000 != 0 ? 1 : 0);
-  return ms > INT_MAX ? INT_MAX : static_cast<int>(ms);
-}
-
 void PollOnce(int64_t timeout_ns) {
   FSUP_ASSERT(kernel::InKernel());
-  ResolveBackend();
   debug::probe::Emit(debug::probe::Event::kIdlePoll, nullptr);
   ++g_stats.probes;
   if (debug::replay::Replaying()) {
     // The pass is virtualized: no syscall runs; the log supplies the wakeups (and any fault
-    // the recorded pass absorbed), making replay identical across io backends.
+    // the recorded pass absorbed).
     debug::replay::ReplayIdleIo();
     return;
   }
   const int64_t deadline_ns = timeout_ns < 0 ? -1 : NowNs() + timeout_ns;
-  const int woke = g_backend == Backend::kEpoll ? EpollPass(deadline_ns) : PollPass(deadline_ns);
-  debug::replay::OnIoDone(static_cast<uint32_t>(woke));
+  debug::replay::OnIoDone(static_cast<uint32_t>(EpollPass(deadline_ns)));
 }
 
 int WaitFdReady(int fd, short events) {
@@ -403,30 +286,26 @@ int WaitFdReady(int fd, short events) {
   Tcb* self = kernel::Current();
   kernel::Enter();
   cancel::TestIntrInKernel();  // I/O waits are interruption points
-  ResolveBackend();
   ++g_stats.waits;
 
-  FdState* s = GetOrCreate(fd);
+  // No epoll instance (creation failed; the next wait retries) or no memory for the node.
+  FdState* s = EnsureEpoll() ? GetOrCreate(fd) : nullptr;
   if (s == nullptr) {
     kernel::Exit();
     errno = EAGAIN;
     return -1;
   }
-  if (g_backend == Backend::kEpoll) {
-    if (EnsureInterest(s, ToEpollMask(events)) != 0) {
-      const int err = errno;
-      MaybeReclaim(s);
-      kernel::Exit();
-      if (err == EPERM) {
-        // Unpollable fd (regular file, …): poll(2) reports such fds as always ready, so the
-        // caller's read/write proceeds instead of blocking forever.
-        return 0;
-      }
-      errno = EAGAIN;
-      return -1;
+  if (EnsureInterest(s, ToEpollMask(events)) != 0) {
+    const int err = errno;
+    MaybeReclaim(s);
+    kernel::Exit();
+    if (err == EPERM) {
+      // Unpollable fd (regular file, …): poll(2) reports such fds as always ready, so the
+      // caller's read/write proceeds instead of blocking forever.
+      return 0;
     }
-  } else {
-    ++g_stats.cache_hits;  // poll backend has no kernel interest set to miss
+    errno = EAGAIN;
+    return -1;
   }
 
   self->io_events = events;
@@ -471,7 +350,7 @@ void ReplayWake(Tcb* t) {
   t->io_ready = true;
   kernel::MakeReady(t);
   ++g_stats.wakeups;
-  MaybeReclaim(s);  // no-op under epoll (node stays as the interest cache), frees under poll
+  MaybeReclaim(s);  // no-op while the node is registered (it stays as the interest cache)
 }
 
 void ResetForTesting() {
@@ -499,15 +378,9 @@ void ResetForTesting() {
     ::close(g_epfd);
     g_epfd = -1;
   }
-  delete[] g_pollfds;
-  delete[] g_pollslots;
-  g_pollfds = nullptr;
-  g_pollslots = nullptr;
-  g_pollcap = 0;
   g_active = 0;
   g_cached = 0;
   g_stats = IoStats{};
-  g_backend = Backend::kUnresolved;  // pt_reinit re-reads FSUP_IO_BACKEND on next use
 }
 
 }  // namespace fsup::io

@@ -6,18 +6,16 @@
 // the dispatcher goes idle, and the idle sleep happens *in* the readiness syscall so I/O
 // readiness, timer signals, and external signals all wake it.
 //
-// Two backends share the registry (FSUP_IO_BACKEND=epoll|poll, default epoll):
+// Readiness comes from a persistent kernel-owned epoll interest set with a per-fd state cache.
+// Each waited fd gets one FdState node (hash on fd) carrying the epoll registration it last
+// made and an intrusive list of waiting threads. Registration happens once per fd; later waits
+// that fit inside the cached interest mask make ZERO epoll_ctl calls, and wakeup dispatch walks
+// only the fds the kernel reported ready (O(ready), not O(registered)). Idle sleeps use
+// epoll_pwait2's nanosecond timeout where available.
 //
-//   epoll — a persistent kernel-owned interest set with a per-fd state cache. Each waited fd
-//   gets one FdState node (hash on fd) carrying the epoll registration it last made and an
-//   intrusive list of waiting threads. Registration happens once per fd; later waits that fit
-//   inside the cached interest mask make ZERO epoll_ctl calls, and wakeup dispatch walks only
-//   the fds the kernel reported ready (O(ready), not O(registered)). Idle sleeps use
-//   epoll_pwait2's nanosecond timeout where available.
-//
-//   poll — the seed's behaviour (rebuild a pollfd array every pass, O(registered) scan), kept
-//   as a tested fallback; it shares the FdState registry so the 64-waiter cap is lifted here
-//   too.
+// The first fd wait creates the epoll instance. If that fails, only the failing wait returns
+// EAGAIN and the next wait retries. Without an instance no thread waits on an fd, so the idle
+// sleep waits for timers and signals alone in one zero-fd poll(2) with a millisecond timeout.
 //
 // Waiters are unbounded: threads hang off their fd's FdState through Tcb::link, so enqueue,
 // dequeue and fake-call removal are O(1).
@@ -43,7 +41,6 @@ struct IoStats {
   uint64_t probes = 0;        // idle readiness probes (PollOnce calls)
   int active_waiters = 0;     // threads currently suspended on an fd
   int cached_fds = 0;         // live FdState nodes
-  bool epoll_backend = false; // which backend resolved
 };
 
 IoStats GetStats();
@@ -58,8 +55,9 @@ bool HaveWaiters();
 void PollOnce(int64_t timeout_ns);
 
 // Registers the current thread as waiting for `events` (POLLIN/POLLOUT) on fd and suspends.
-// Returns 0 once ready, or -1 with errno (EINTR if woken by a signal handler, EAGAIN if the
-// backend could not register the fd, ECANCELED via cancellation unwind). In kernel: no — call
+// Returns 0 once ready, or -1 with errno (EINTR if woken by a signal handler, EAGAIN if no
+// epoll instance could be created or the fd could not be registered, ECANCELED via
+// cancellation unwind). In kernel: no — call
 // *outside* the kernel; it enters itself.
 int WaitFdReady(int fd, short events);
 
@@ -70,13 +68,7 @@ void ForgetThread(Tcb* t);
 // recorded poll pass did, without consulting any fd. In kernel; t must be io-blocked.
 void ReplayWake(Tcb* t);
 
-// Converts a remaining-time budget to a poll(2)/epoll_wait(2) millisecond timeout: rounds up
-// (a short sleep must not busy-spin) and clamps to INT_MAX (a far-future deadline must not
-// overflow int, which would turn a bounded wait into an infinite or zero-timeout poll).
-int ClampedPollTimeoutMs(int64_t remaining_ns);
-
-// Closes the epoll fd, frees every FdState, zeroes stats, and forgets the resolved backend so
-// the next use re-reads FSUP_IO_BACKEND (pt_reinit relies on this).
+// Closes the epoll fd, frees every FdState and zeroes stats (pt_reinit relies on this).
 void ResetForTesting();
 
 }  // namespace fsup::io

@@ -62,9 +62,10 @@ void SwitchTo(Tcb* next) {
 
 /// No thread is runnable: wait for a timer, I/O readiness, or an external signal. Runs inside
 // the kernel, so any signal that arrives is deferred and replayed by the dispatch loop. The
-// sleep itself happens in io::PollOnce (epoll_pwait2 with the nanosecond deadline budget, or
-// the poll fallback) so fd readiness and signals both end it; deadlock detection is O(1) —
-// NextDeadlineNs reads the timer-heap head and ExternalWakeupPossible reads two counters.
+// sleep itself happens in io::PollOnce (epoll_pwait2 with the nanosecond deadline budget, or a
+// zero-fd poll while no epoll instance exists) so fd readiness and signals both end it;
+// deadlock detection is O(1) — NextDeadlineNs reads the timer-heap head and
+// ExternalWakeupPossible reads two counters.
 void IdleWait() {
   KernelState& k = ks();
   sig::UnblockAllOsSignals();

@@ -80,7 +80,7 @@ void InitRuntime() {
       v != nullptr && v[0] != '\0' && v[0] != '0') {
     debug::metrics::Enable(true);
   }
-  // FSUP_FASTPATH=0|off|ras|cas: after the trace/metrics env hooks, so the active mode is
+  // FSUP_FASTPATH=0|off|ras: after the trace/metrics env hooks, so the active mode is
   // computed against their final state (the Enable calls above recompute too; this one also
   // picks up the requested mode itself).
   sync::fastpath::InitFromEnv();

@@ -45,8 +45,6 @@ void InitFromEnv() {
   if (v != nullptr && v[0] != '\0') {
     if (std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0) {
       m = Mode::kOff;
-    } else if (std::strcmp(v, "cas") == 0) {
-      m = Mode::kCas;
     }  // "1", "ras", and anything else keep the default
   }
   g_requested = m;

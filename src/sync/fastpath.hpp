@@ -11,7 +11,6 @@
 //
 //   FSUP_FASTPATH=0|off  — kill switch: every operation takes today's all-kernel path
 //   FSUP_FASTPATH=ras|1  — restartable-sequence acquire (paper Fig. 4; the default)
-//   FSUP_FASTPATH=cas    — cmpxchg acquire (the instruction the paper wishes every ISA had)
 //
 // The requested mode is what the user asked for; the ACTIVE mode is the requested mode
 // demoted to kOff while tracing, metrics, a perverted policy or a schedule perturbation is
@@ -28,7 +27,6 @@ namespace fsup::sync::fastpath {
 enum class Mode : uint8_t {
   kOff = 0,
   kRas = 1,
-  kCas = 2,
 };
 
 // The active mode, read by the hot paths. Plain byte: mode changes happen in user context

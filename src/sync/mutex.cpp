@@ -16,29 +16,21 @@
 namespace fsup::sync {
 namespace {
 
-// The effective mode for one operation on one mutex: kOff unless the global mode byte says
-// go AND the mutex is eligible. Protocol mutexes must enter the kernel (they manipulate
+// Whether one operation on one mutex may bypass the kernel: the global mode byte says go AND
+// the mutex is eligible. Protocol mutexes must enter the kernel (they manipulate
 // priorities), and so do the error-check/recursive types (per-acquisition bookkeeping) —
 // both folded into the per-mutex fast_ok byte at init. Observability demotions — tracing
 // wants every event, metrics need the kernel path to bracket hold times, perverted
 // mutex-switch hooks every lock — are folded into the global mode byte (see fastpath.hpp).
-// The whole gate is therefore two byte loads and two predicted branches, and each operation
-// reads the mode byte exactly once, threading it through to the acquire.
-inline fastpath::Mode FastPathMode(const Mutex* m) {
-  const auto mode = static_cast<fastpath::Mode>(fastpath::g_active);
-  return m->fast_ok != 0 ? mode : fastpath::Mode::kOff;
-}
+// The whole gate is therefore two byte loads and two predicted branches.
+inline bool FastPath(const Mutex* m) { return m->fast_ok != 0 && fastpath::Enabled(); }
 
 inline void* volatile* OwnerWord(Mutex* m) {
   return reinterpret_cast<void* volatile*>(&m->owner);
 }
 
-// The selectable acquire instruction: the paper's restartable sequence, or the cmpxchg it
-// wishes every ISA provided (one interlocked instruction, no handler rewind needed).
-inline bool TryAcquireFast(fastpath::Mode mode, Mutex* m, Tcb* self) {
-  if (mode == fastpath::Mode::kCas) {
-    return fsup_cas_lock(OwnerWord(m), self) == nullptr;
-  }
+// The acquire instruction: the paper's restartable sequence (Fig. 4).
+inline bool TryAcquireFast(Mutex* m, Tcb* self) {
   return fsup_ras_owner_lock(OwnerWord(m), self) == nullptr;
 }
 
@@ -308,8 +300,7 @@ int MutexLock(Mutex* m) {
     // only we can clear it — the comparison is race-free in user context.
     return EDEADLK;
   }
-  const fastpath::Mode mode = FastPathMode(m);
-  if (mode != fastpath::Mode::kOff && TryAcquireFast(mode, m, self)) {
+  if (FastPath(m) && TryAcquireFast(m, self)) {
     return 0;  // the committing store published us as owner; no kernel entry
   }
   kernel::Enter();
@@ -330,10 +321,9 @@ int MutexTrylock(Mutex* m) {
   if (m->owner == self && m->type != MutexType::kRecursive) {
     return EDEADLK;
   }
-  const fastpath::Mode mode = FastPathMode(m);
-  if (mode != fastpath::Mode::kOff) {
+  if (FastPath(m)) {
     // EBUSY is decided by the same atomic acquire the lock path uses — still no kernel entry.
-    return TryAcquireFast(mode, m, self) ? 0 : EBUSY;
+    return TryAcquireFast(m, self) ? 0 : EBUSY;
   }
   kernel::Enter();
   int rc;
@@ -364,10 +354,9 @@ int MutexUnlock(Mutex* m) {
   if (m->owner != self) {
     return EPERM;  // race-free in user context for the same reason as the EDEADLK check
   }
-  if (FastPathMode(m) != fastpath::Mode::kOff) {
+  if (FastPath(m)) {
     // Restartable sequence: releases only if no waiter is queued; a waiter enqueued by a
-    // preempting signal handler forces the restart down the kernel handoff path. Both
-    // acquire flavors release through this sequence (see ras.S).
+    // preempting signal handler forces the restart down the kernel handoff path.
     if (fsup_ras_owner_unlock(OwnerWord(m), &m->has_waiters) == 0) {
       return 0;
     }

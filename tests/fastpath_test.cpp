@@ -45,12 +45,9 @@ class FastpathTest : public ::testing::TestWithParam<Mode> {
   static uint64_t KernelEntries() { return kernel::ks().kernel_entries; }
 };
 
-// Both acquire flavours run the full suite; the kill switch gets its own tests.
-INSTANTIATE_TEST_SUITE_P(Modes, FastpathTest,
-                         ::testing::Values(Mode::kRas, Mode::kCas),
-                         [](const ::testing::TestParamInfo<Mode>& i) {
-                           return i.param == Mode::kRas ? "ras" : "cas";
-                         });
+// The ras acquire runs the full suite; the kill switch gets its own tests.
+INSTANTIATE_TEST_SUITE_P(Modes, FastpathTest, ::testing::Values(Mode::kRas),
+                         [](const ::testing::TestParamInfo<Mode>&) { return "ras"; });
 
 // -- the zero-kernel-entry claims --------------------------------------------------------
 
@@ -419,9 +416,6 @@ TEST_F(FastpathModeTest, EnvSelectsTheMode) {
   ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "0", 1));
   pt_reinit();
   EXPECT_FALSE(sync::fastpath::Enabled());
-  ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "cas", 1));
-  pt_reinit();
-  EXPECT_EQ(Mode::kCas, sync::fastpath::Active());
   ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "ras", 1));
   pt_reinit();
   EXPECT_EQ(Mode::kRas, sync::fastpath::Active());

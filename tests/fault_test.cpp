@@ -169,9 +169,7 @@ TEST_F(FaultTest, InjectedPollEintrLosesNoIoWaiters) {
   ASSERT_EQ(0, ::pipe(w.fds));
 
   // Every other readiness probe fails with a spurious EINTR; the idle loop's retry must keep
-  // the reader's waiter registered so the write still wakes it. Arm both probe calls so the
-  // test covers whichever backend FSUP_IO_BACKEND selected.
-  fault::FailEveryKth(Call::kPoll, 2, EINTR);
+  // the reader's waiter registered so the write still wakes it.
   fault::FailEveryKth(Call::kEpollWait, 2, EINTR);
 
   pt_thread_t reader;
@@ -199,7 +197,7 @@ TEST_F(FaultTest, InjectedPollEintrLosesNoIoWaiters) {
   ::close(w.fds[1]);  // EOF terminates the reader
   ASSERT_EQ(0, pt_join(reader, nullptr));
   EXPECT_EQ(static_cast<long>(sizeof(chunk)), w.received);
-  EXPECT_GT(fault::InjectedCount(Call::kPoll) + fault::InjectedCount(Call::kEpollWait), 0u);
+  EXPECT_GT(fault::InjectedCount(Call::kEpollWait), 0u);
   ::close(w.fds[0]);
 }
 

@@ -1,8 +1,9 @@
 // Regression pins for the satellite fixes that rode along with the epoll readiness core:
 //
-//   1. The poll-fallback timeout is clamped to INT_MAX ms: a multi-week deadline used to
+//   1. Millisecond sleep timeouts are clamped to INT_MAX ms: a multi-week deadline used to
 //      overflow the static_cast<int> (3.6e9 ms → a negative int → an *infinite* poll where a
-//      bounded one was asked for).
+//      bounded one was asked for). A failed epoll_create fails only the wait that hit it, and
+//      the idle loop then sleeps in a zero-fd poll(2) with that clamped timeout.
 //   2. Cancelling the head deadline disarms/reprograms ITIMER_REAL: a create/cancel storm
 //      used to leave the interval timer programmed and fire stale SIGALRM ticks.
 //   3. sig::ExternalWakeupPossible runs on counters: handler-install churn and sigwait wake
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,6 +20,7 @@
 #include <csignal>
 
 #include "src/core/pthread.hpp"
+#include "src/hostos/fault.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/io/io.hpp"
 
@@ -36,15 +39,15 @@ TEST_F(IoRegressTest, PollTimeoutClampsInsteadOfOverflowing) {
   // A six-week deadline: 3.63e15 ns ≈ 3.63e9 ms, which does not fit in int. The seed's
   // static_cast<int> produced a negative value — poll(2) treats that as "block forever".
   const int64_t six_weeks_ns = int64_t{6} * 7 * 24 * 3600 * 1'000'000'000;
-  EXPECT_EQ(INT_MAX, io::ClampedPollTimeoutMs(six_weeks_ns));
+  EXPECT_EQ(INT_MAX, hostos::ClampedPollTimeoutMs(six_weeks_ns));
 
   // Round-up and floor behaviour around the edges.
-  EXPECT_EQ(0, io::ClampedPollTimeoutMs(0));
-  EXPECT_EQ(0, io::ClampedPollTimeoutMs(-1));
-  EXPECT_EQ(1, io::ClampedPollTimeoutMs(1));          // 1 ns still sleeps, never spins
-  EXPECT_EQ(1, io::ClampedPollTimeoutMs(1'000'000));  // exactly 1 ms
-  EXPECT_EQ(2, io::ClampedPollTimeoutMs(1'000'001));
-  EXPECT_EQ(INT_MAX, io::ClampedPollTimeoutMs(INT64_MAX));
+  EXPECT_EQ(0, hostos::ClampedPollTimeoutMs(0));
+  EXPECT_EQ(0, hostos::ClampedPollTimeoutMs(-1));
+  EXPECT_EQ(1, hostos::ClampedPollTimeoutMs(1));          // 1 ns still sleeps, never spins
+  EXPECT_EQ(1, hostos::ClampedPollTimeoutMs(1'000'000));  // exactly 1 ms
+  EXPECT_EQ(2, hostos::ClampedPollTimeoutMs(1'000'001));
+  EXPECT_EQ(INT_MAX, hostos::ClampedPollTimeoutMs(INT64_MAX));
 }
 
 pt_thread_t g_far_sleeper;
@@ -63,35 +66,59 @@ void* ClampReader(void*) {
   return nullptr;
 }
 
-TEST_F(IoRegressTest, PollBackendIdlesWithClampedTimeoutUnderFarFutureDeadline) {
-  ASSERT_EQ(0, ::setenv("FSUP_IO_BACKEND", "poll", 1));
-  pt_reinit();
-
+TEST_F(IoRegressTest, EpollCreateFailureFailsOnlyThatWaitAndIdlesInZeroFdPoll) {
+  // pt_reinit closed the epoll instance, so the next fd wait is the one that creates it.
+  hostos::fault::FailNth(hostos::Call::kEpollCreate, 1, EMFILE);
   int fds[2];
   ASSERT_EQ(0, ::pipe(fds));
   g_clamp_fd = fds[0];
   g_clamp_n = 0;
 
-  // One thread sleeps six weeks out (the armed deadline the idle loop must budget for), one
-  // blocks on the pipe.
-  pt_thread_t reader;
-  ASSERT_EQ(0, pt_create(&g_far_sleeper, nullptr, &FarFutureSleeper, nullptr));
-  ASSERT_EQ(0, pt_create(&reader, nullptr, &ClampReader, nullptr));
-  pt_yield();  // both suspend
+  // The wait that hit the failed creation returns EAGAIN at once and leaves no FdState behind.
+  char b;
+  errno = 0;
+  EXPECT_EQ(-1, pt_read(fds[0], &b, 1));
+  EXPECT_EQ(EAGAIN, errno);
+  EXPECT_EQ(0, io::GetStats().cached_fds);
+  EXPECT_EQ(1u, hostos::fault::InjectedCount(hostos::Call::kEpollCreate));
 
-  // Joining blocks main too, so the dispatcher idles in poll(2) with the six-week budget —
-  // the readable pipe wakes it immediately, but the *timeout it passed* is what we pin.
+  // With no instance there is no fd waiter: while main waits for SIGUSR2 from a helper
+  // process, the idle loop sleeps in one zero-fd poll(2) budgeted for the six-week sleeper.
+  ASSERT_EQ(0, pt_create(&g_far_sleeper, nullptr, &FarFutureSleeper, nullptr));
+  pt_yield();  // the sleeper arms its deadline and suspends
+  const uint64_t epoll_waits = hostos::CallCount(hostos::Call::kEpollWait);
+  const uint64_t polls = hostos::CallCount(hostos::Call::kPoll);
+  const pid_t pid = ::getpid();
+  const pid_t child = ::fork();
+  if (child == 0) {  // the child only sleeps and kills
+    ::usleep(100 * 1000);
+    ::kill(pid, SIGUSR2);
+    ::_exit(0);
+  }
+  int got = 0;
+  EXPECT_EQ(0, pt_sigwait(SigBit(SIGUSR2), &got));
+  EXPECT_EQ(SIGUSR2, got);
+  ASSERT_EQ(child, ::waitpid(child, nullptr, 0));
+  EXPECT_GT(hostos::CallCount(hostos::Call::kPoll), polls);
+  EXPECT_EQ(epoll_waits, hostos::CallCount(hostos::Call::kEpollWait));
+  EXPECT_EQ(INT_MAX, hostos::LastPollTimeoutMs());
+
+  // The rule is spent: the next wait creates the instance, blocks, and a write wakes it.
+  pt_thread_t reader;
+  ASSERT_EQ(0, pt_create(&reader, nullptr, &ClampReader, nullptr));
+  pt_yield();  // the reader blocks on the empty pipe
+  EXPECT_EQ(1, io::GetStats().active_waiters);
+  EXPECT_EQ(0, g_clamp_n);
   ASSERT_EQ(1, ::write(fds[1], "x", 1));
   ASSERT_EQ(0, pt_join(reader, nullptr));
   EXPECT_EQ(1, g_clamp_n);
-  EXPECT_EQ(INT_MAX, hostos::LastPollTimeoutMs());
+  EXPECT_EQ(1u, hostos::fault::InjectedCount(hostos::Call::kEpollCreate));
 
   ASSERT_EQ(0, pt_cancel(g_far_sleeper));
   ASSERT_EQ(0, pt_join(g_far_sleeper, nullptr));
   ::close(fds[0]);
   ::close(fds[1]);
-  ASSERT_EQ(0, ::unsetenv("FSUP_IO_BACKEND"));
-  pt_reinit();
+  hostos::fault::Clear();
 }
 
 int g_sw_rc = 0;

@@ -5,8 +5,7 @@
 // tests drive well past 64 concurrent waiters, mix event masks on one fd, interrupt an
 // epoll-registered waiter with a fake call, and pin the interest-cache contract: steady-state
 // waits make zero epoll_ctl calls, and a readiness report that wakes nobody is demoted out of
-// the kernel's interest set exactly once. The whole suite also runs under FSUP_IO_BACKEND=poll
-// (a ctest variant), where the epoll-only assertions step aside.
+// the kernel's interest set exactly once.
 
 #include <gtest/gtest.h>
 
@@ -225,12 +224,6 @@ TEST_F(IoScaleTest, SteadyStateWaitsMakeZeroEpollCtlCalls) {
   for (int i = 0; i < 5; ++i) {
     round('w');  // warm the interest cache for all four pipe ends involved
   }
-  if (!io::GetStats().epoll_backend) {
-    ASSERT_EQ(1, pt_write(data[1], "q", 1));
-    ASSERT_EQ(0, pt_join(t, nullptr));
-    GTEST_SKIP() << "interest-cache contract applies to the epoll backend only";
-  }
-
   const uint64_t ctl_before = hostos::CallCount(hostos::Call::kEpollCtl);
   const io::IoStats before = io::GetStats();
   constexpr int kRounds = 50;
@@ -275,10 +268,6 @@ TEST_F(IoScaleTest, StaleReadinessIsDemotedOnce) {
   pt_yield();
   ASSERT_EQ(1, ::write(fds[1], "1", 1));
   ASSERT_EQ(0, pt_join(t, nullptr));
-  if (!io::GetStats().epoll_backend) {
-    GTEST_SKIP() << "demotion exists only where a kernel-owned interest set does";
-  }
-
   // Leave a byte nobody reads, then drive idle passes by sleeping: the first pass reports
   // fds[0], wakes nobody, and demotes it; later passes must not see it again.
   ASSERT_EQ(1, ::write(fds[1], "2", 1));
@@ -304,13 +293,10 @@ TEST_F(IoScaleTest, StaleReadinessIsDemotedOnce) {
 TEST_F(IoScaleTest, EpollCtlFaultFailsWaitCleanly) {
   int fds[2];
   ASSERT_EQ(0, ::pipe(fds));
-  {  // resolve the backend before arming the fault, so the probe below is meaningful
+  {  // create the epoll instance before arming the fault, so the probe below is meaningful
     char b;
     ASSERT_EQ(1, ::write(fds[1], "p", 1));
     ASSERT_EQ(1, pt_read(fds[0], &b, 1));
-  }
-  if (!io::GetStats().epoll_backend) {
-    GTEST_SKIP() << "injects at the epoll boundary";
   }
 
   int second[2];

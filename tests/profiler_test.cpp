@@ -532,7 +532,7 @@ TEST_F(ProfilerTest, CappedDumpsReportElidedThreads) {
   EXPECT_EQ(3u, rows) << err;
   EXPECT_NE(std::string::npos, err.find("more threads")) << err;
   EXPECT_NE(std::string::npos, err.find("pool mapped_kb=")) << err;
-  EXPECT_NE(std::string::npos, err.find("io[")) << err;
+  EXPECT_NE(std::string::npos, err.find("  io waits=")) << err;
 
   // Capped metrics dump to a file fd.
   const std::string dump_path = base_ + ".metrics";

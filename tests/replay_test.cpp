@@ -1,9 +1,8 @@
 // Deterministic record/replay: a recorded run's trace ring is reproduced bit-exactly by the
 // replayed run (same events, operands and decision indices; wall-clock timestamps differ),
-// fault-rule firings land at the same decision index without re-arming the rules, replay of
-// an epoll-recorded schedule works under the poll backend, a divergent workload aborts with
-// the first mismatched decision, and a run that outlives its log falls back to live
-// execution. The C entry points get a smoke test at the end.
+// fault-rule firings land at the same decision index without re-arming the rules, a
+// divergent workload aborts with the first mismatched decision, and a run that outlives its
+// log falls back to live execution. The C entry points get a smoke test at the end.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -237,31 +235,6 @@ TEST_F(ReplayTest, IoWorkloadReplaysBitExactly) {
   ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
   IoWorkload();
   debug::replay::StopReplay();
-
-  ASSERT_FALSE(recorded.empty());
-  ExpectSameRing(recorded, RingKeys());
-}
-
-// An epoll-backend recording replays under the poll backend: the idle poll is virtualized in
-// replay, so the log is backend-independent.
-TEST_F(ReplayTest, EpollRecordingReplaysUnderPollBackend) {
-  ASSERT_EQ(0, ::setenv("FSUP_IO_BACKEND", "epoll", 1));
-  pt_reinit();
-  debug::trace::Clear();
-  debug::trace::Enable(true);
-  debug::replay::StartRecording();
-  IoWorkload();
-  debug::replay::StopRecording();
-  ASSERT_EQ(0, debug::replay::SaveLog(path_.c_str()));
-  const std::vector<Key> recorded = RingKeys();
-
-  ASSERT_EQ(0, ::setenv("FSUP_IO_BACKEND", "poll", 1));
-  pt_reinit();  // re-resolves the backend from the environment
-  debug::trace::Clear();
-  ASSERT_EQ(0, debug::replay::StartReplay(path_.c_str()));
-  IoWorkload();
-  debug::replay::StopReplay();
-  ASSERT_EQ(0, ::unsetenv("FSUP_IO_BACKEND"));
 
   ASSERT_FALSE(recorded.empty());
   ExpectSameRing(recorded, RingKeys());

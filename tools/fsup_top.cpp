@@ -121,10 +121,10 @@ void Render(const StatsShm& s, const StatsShm* prev, int64_t interval_ns) {
               s.pool_mapped_bytes / 1024, s.pool_mapped_hw_bytes / 1024,
               s.pool_free_bytes / 1024, s.pool_budget_bytes / 1024, s.stack_reuses,
               s.stack_maps, s.lazy_commits);
-  std::printf("io[%s]:  waits=%" PRIu64 " wakeups=%" PRIu64 " cache_hits=%" PRIu64
+  std::printf("io:      waits=%" PRIu64 " wakeups=%" PRIu64 " cache_hits=%" PRIu64
               " misses=%" PRIu64 " active_waiters=%d cached_fds=%d\n",
-              s.io_epoll_backend != 0 ? "epoll" : "poll", s.io_waits, s.io_wakeups,
-              s.io_cache_hits, s.io_cache_misses, s.io_active_waiters, s.io_cached_fds);
+              s.io_waits, s.io_wakeups, s.io_cache_hits, s.io_cache_misses,
+              s.io_active_waiters, s.io_cached_fds);
   PrintStacks("hottest on-CPU stacks:", s.top_oncpu, false);
   PrintStacks("top blocked (off-CPU):", s.top_offcpu, true);
 }
