@@ -141,8 +141,10 @@ void ExitCurrent(void* retval) {
 void pt_init() { kernel::EnsureInit(); }
 
 void pt_reinit() {
-  kernel::ReinitForTesting();
+  // Before the kernel rebuild destroys the main TCB: the reset frees the main thread's libc
+  // block through its TSD slot, which the rebuild wipes.
   libc_internal::ResetForTesting();
+  kernel::ReinitForTesting();
   tsd::ResetForTesting();
   sched::SetPolicy(PervertedPolicy::kNone, 0);
 }

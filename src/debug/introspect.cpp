@@ -1,9 +1,8 @@
 #include "src/debug/introspect.hpp"
 
+#include "src/debug/counters.hpp"
 #include "src/debug/metrics.hpp"
-#include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
-#include "src/kernel/stack_pool.hpp"
 #include "src/sync/cond.hpp"
 #include "src/sync/mutex.hpp"
 #include "src/util/log.hpp"
@@ -88,47 +87,9 @@ void DumpThreads(uint32_t max_threads) {
     log::RawWriteInt(static_cast<int64_t>(k.live_threads - shown));
     log::RawWriteCstr(" more threads\n");
   }
-  log::RawWriteCstr("  ready=");
-  log::RawWriteInt(static_cast<int64_t>(k.ready.size()));
-  log::RawWriteCstr(" ctx_switches=");
-  log::RawWriteInt(static_cast<int64_t>(k.ctx_switches));
-  log::RawWriteCstr(" dispatches=");
-  log::RawWriteInt(static_cast<int64_t>(k.dispatches));
-  log::RawWriteCstr(" preemptions=");
-  log::RawWriteInt(static_cast<int64_t>(k.preemptions));
-  log::RawWriteCstr(" deferred_signals=");
-  log::RawWriteInt(static_cast<int64_t>(k.deferred_signals));
-  log::RawWriteCstr("\n");
-  if (k.pool != nullptr) {
-    const StackPool& pool = *k.pool;
-    log::RawWriteCstr("  pool mapped_kb=");
-    log::RawWriteInt(static_cast<int64_t>(pool.mapped_bytes() / 1024));
-    log::RawWriteCstr(" hw_kb=");
-    log::RawWriteInt(static_cast<int64_t>(pool.mapped_hw_bytes() / 1024));
-    log::RawWriteCstr(" free=");
-    log::RawWriteInt(static_cast<int64_t>(pool.pooled_stacks()));
-    log::RawWriteCstr(" reuses=");
-    log::RawWriteInt(static_cast<int64_t>(pool.stack_reuses()));
-    log::RawWriteCstr(" maps=");
-    log::RawWriteInt(static_cast<int64_t>(pool.stack_maps()));
-    log::RawWriteCstr(" lazy_commits=");
-    log::RawWriteInt(static_cast<int64_t>(pool.lazy_commits()));
-    log::RawWriteCstr("\n");
-  }
-  const io::IoStats ios = io::GetStats();
-  log::RawWriteCstr("  io waits=");
-  log::RawWriteInt(static_cast<int64_t>(ios.waits));
-  log::RawWriteCstr(" wakeups=");
-  log::RawWriteInt(static_cast<int64_t>(ios.wakeups));
-  log::RawWriteCstr(" cache_hits=");
-  log::RawWriteInt(static_cast<int64_t>(ios.cache_hits));
-  log::RawWriteCstr(" cache_misses=");
-  log::RawWriteInt(static_cast<int64_t>(ios.cache_misses));
-  log::RawWriteCstr(" active_waiters=");
-  log::RawWriteInt(ios.active_waiters);
-  log::RawWriteCstr(" cached_fds=");
-  log::RawWriteInt(ios.cached_fds);
-  log::RawWriteCstr("\n");
+  Counters c;
+  ReadCounters(&c);
+  PrintCounters(c, [](const char* text) { log::RawWriteCstr(text); });
 }
 
 }  // namespace fsup::debug

@@ -6,14 +6,8 @@
 #include <cstdio>
 #include <cstring>
 
-#include "src/arch/ras.hpp"
-#include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
-#include "src/kernel/stack_pool.hpp"
 #include "src/util/dual_loop_timer.hpp"
-
-static_assert(fsup::debug::metrics::MetricsSnapshot::kPoolClasses == fsup::StackPool::kNumClasses,
-              "snapshot per-class array must match the pool's size-class count");
 
 namespace fsup::debug::metrics {
 namespace {
@@ -232,14 +226,7 @@ void Capture(MetricsSnapshot* out) {
   KernelState& k = kernel::ks();
 
   out->enabled = Enabled();
-  out->live_threads = k.live_threads;
-  out->ctx_switches = k.ctx_switches;
-  out->dispatches = k.dispatches;
-  out->preemptions = k.preemptions;
-  out->deferred_signals = k.deferred_signals;
-  out->kernel_entries = k.kernel_entries;
-  out->ras_restarts = ras::RestartCount();
-
+  ReadCounters(&out->counters);
   out->enabled_since_ns = g_state.enabled_since_ns;
   out->voluntary_switches = g_state.voluntary_switches;
   out->preempted_switches = g_state.preempted_switches;
@@ -247,31 +234,6 @@ void Capture(MetricsSnapshot* out) {
   out->fake_calls = g_state.fake_calls;
   out->timer_ticks = g_state.timer_ticks;
   out->idle_polls = g_state.idle_polls;
-  const io::IoStats ios = io::GetStats();
-  out->io_waits = ios.waits;
-  out->io_wakeups = ios.wakeups;
-  out->io_cache_hits = ios.cache_hits;
-  out->io_cache_misses = ios.cache_misses;
-  out->io_demotions = ios.demotions;
-  out->io_probes = ios.probes;
-  out->io_active_waiters = ios.active_waiters;
-  out->io_cached_fds = ios.cached_fds;
-  const StackPool& pool = *k.pool;
-  out->pool_mapped_bytes = pool.mapped_bytes();
-  out->pool_mapped_hw_bytes = pool.mapped_hw_bytes();
-  out->pool_free_bytes = pool.pooled_bytes();
-  out->pool_budget_bytes = pool.pool_budget_bytes();
-  out->pool_free_stacks = pool.pooled_stacks();
-  out->stack_reuses = pool.stack_reuses();
-  out->stack_maps = pool.stack_maps();
-  out->stack_alloc_failures = pool.alloc_failures();
-  out->lazy_commits = pool.lazy_commits();
-  for (int c = 0; c < MetricsSnapshot::kPoolClasses; ++c) {
-    const StackPool::ClassStats cs = pool.class_stats(c);
-    out->pool_classes[c].hits = cs.hits;
-    out->pool_classes[c].misses = cs.misses;
-    out->pool_classes[c].evictions = cs.evictions;
-  }
   out->sched_latency = g_state.sched_latency;
   out->mutex_wait = g_state.mutex_wait;
   out->mutex_hold = g_state.mutex_hold;
@@ -316,52 +278,15 @@ int DumpText(int fd, uint32_t max_threads) {
   };
 
   emit("fsup metrics (%s)\n", s.enabled ? "enabled" : "disabled");
-  emit("  ctx_switches=%llu (voluntary=%llu preempted=%llu) dispatches=%llu "
-       "preemptions=%llu\n",
-       static_cast<unsigned long long>(s.ctx_switches),
+  emit("  metrics: voluntary=%llu preempted=%llu signals=%llu fake_calls=%llu timer_ticks=%llu "
+       "idle_polls=%llu\n",
        static_cast<unsigned long long>(s.voluntary_switches),
        static_cast<unsigned long long>(s.preempted_switches),
-       static_cast<unsigned long long>(s.dispatches),
-       static_cast<unsigned long long>(s.preemptions));
-  emit("  kernel_entries=%llu deferred_signals=%llu signals=%llu fake_calls=%llu "
-       "ras_restarts=%llu timer_ticks=%llu idle_polls=%llu\n",
-       static_cast<unsigned long long>(s.kernel_entries),
-       static_cast<unsigned long long>(s.deferred_signals),
        static_cast<unsigned long long>(s.signals_delivered),
        static_cast<unsigned long long>(s.fake_calls),
-       static_cast<unsigned long long>(s.ras_restarts),
        static_cast<unsigned long long>(s.timer_ticks),
        static_cast<unsigned long long>(s.idle_polls));
-  emit("  io waits=%llu wakeups=%llu cache_hits=%llu cache_misses=%llu demotions=%llu "
-       "probes=%llu active_waiters=%d cached_fds=%d\n",
-       static_cast<unsigned long long>(s.io_waits),
-       static_cast<unsigned long long>(s.io_wakeups),
-       static_cast<unsigned long long>(s.io_cache_hits),
-       static_cast<unsigned long long>(s.io_cache_misses),
-       static_cast<unsigned long long>(s.io_demotions),
-       static_cast<unsigned long long>(s.io_probes),
-       s.io_active_waiters, s.io_cached_fds);
-  emit("  pool mapped=%lluK (hw=%lluK) free=%lluK/%llu budget=%lluK reuses=%llu maps=%llu "
-       "alloc_failures=%llu lazy_commits=%llu\n",
-       static_cast<unsigned long long>(s.pool_mapped_bytes / 1024),
-       static_cast<unsigned long long>(s.pool_mapped_hw_bytes / 1024),
-       static_cast<unsigned long long>(s.pool_free_bytes / 1024),
-       static_cast<unsigned long long>(s.pool_free_stacks),
-       static_cast<unsigned long long>(s.pool_budget_bytes / 1024),
-       static_cast<unsigned long long>(s.stack_reuses),
-       static_cast<unsigned long long>(s.stack_maps),
-       static_cast<unsigned long long>(s.stack_alloc_failures),
-       static_cast<unsigned long long>(s.lazy_commits));
-  for (int c = 0; c < MetricsSnapshot::kPoolClasses; ++c) {
-    const auto& cs = s.pool_classes[c];
-    if (cs.hits == 0 && cs.misses == 0 && cs.evictions == 0) {
-      continue;  // only classes that saw traffic — ten all-zero rows are noise
-    }
-    emit("    class[%d] (%lluK): hits=%llu misses=%llu evictions=%llu\n", c,
-         static_cast<unsigned long long>((16ull << c)),  // kMinStackSize = 16 KiB, pow2 steps
-         static_cast<unsigned long long>(cs.hits), static_cast<unsigned long long>(cs.misses),
-         static_cast<unsigned long long>(cs.evictions));
-  }
+  PrintCounters(s.counters, [&](const char* text) { emit("%s", text); });
 
   auto hist = [&](const char* label, const LatencyHist& h) {
     emit("  %-13s n=%-8llu mean=%-10.0f p50=%-8lld p95=%-8lld p99=%-8lld max=%lld (ns)\n",
@@ -392,9 +317,9 @@ int DumpText(int fd, uint32_t max_threads) {
          static_cast<long long>(t.ready_ns / 1000),
          static_cast<long long>(t.blocked_ns / 1000));
   }
-  if (s.live_threads > rows) {
+  if (s.counters.live_threads > rows) {
     emit("  ... and %llu more threads\n",
-         static_cast<unsigned long long>(s.live_threads - rows));
+         static_cast<unsigned long long>(s.counters.live_threads - rows));
   }
 
   const char* p = buf;

@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "src/debug/counters.hpp"
 #include "src/debug/probe.hpp"
 
 namespace fsup {
@@ -117,51 +118,16 @@ struct MetricsSnapshot {
   bool enabled = false;
   int64_t enabled_since_ns = 0;
 
-  // Kernel totals (live regardless of the metrics flag — they predate this module).
-  uint64_t live_threads = 0;
-  uint64_t ctx_switches = 0;
-  uint64_t dispatches = 0;
-  uint64_t preemptions = 0;
-  uint64_t deferred_signals = 0;
-  uint64_t kernel_entries = 0;
+  // Kernel, io and stack-pool counters (live regardless of the metrics flag).
+  Counters counters;
 
   // Metrics-gated totals.
   uint64_t voluntary_switches = 0;
   uint64_t preempted_switches = 0;
   uint64_t signals_delivered = 0;  // user handlers dispatched (fake calls + sync + self)
   uint64_t fake_calls = 0;
-  uint64_t ras_restarts = 0;  // total since process start (arch/ras.cpp counter)
   uint64_t timer_ticks = 0;
   uint64_t idle_polls = 0;
-
-  // I/O readiness core (live regardless of the metrics flag — io keeps its own cheap
-  // counters; see io::GetStats). io_cache_hits counts waits that made zero epoll_ctl calls.
-  uint64_t io_waits = 0;
-  uint64_t io_wakeups = 0;
-  uint64_t io_cache_hits = 0;
-  uint64_t io_cache_misses = 0;
-  uint64_t io_demotions = 0;
-  uint64_t io_probes = 0;
-  int32_t io_active_waiters = 0;
-  int32_t io_cached_fds = 0;
-
-  // Stack pool (live regardless of the metrics flag — the pool keeps its own counters).
-  struct PoolClassSnap {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  static constexpr int kPoolClasses = 10;  // == StackPool::kNumClasses (checked in metrics.cpp)
-  uint64_t pool_mapped_bytes = 0;     // live + free reservations
-  uint64_t pool_mapped_hw_bytes = 0;  // lifetime high-water of the above
-  uint64_t pool_free_bytes = 0;
-  uint64_t pool_budget_bytes = 0;
-  uint64_t pool_free_stacks = 0;
-  uint64_t stack_reuses = 0;
-  uint64_t stack_maps = 0;
-  uint64_t stack_alloc_failures = 0;
-  uint64_t lazy_commits = 0;
-  PoolClassSnap pool_classes[kPoolClasses];
 
   LatencyHist sched_latency;  // ready -> running
   LatencyHist mutex_wait;     // first contended block -> acquisition

@@ -18,7 +18,6 @@
 #include "src/debug/replay.hpp"
 #include "src/debug/stats_shm.hpp"
 #include "src/hostos/unix_if.hpp"
-#include "src/io/io.hpp"
 #include "src/kernel/kernel.hpp"
 #include "src/kernel/stack_pool.hpp"
 #include "src/util/assert.hpp"
@@ -37,8 +36,6 @@ volatile bool g_signal_sampling = false;
 
 namespace {
 
-static_assert(kStatsShmStackClasses == StackPool::kNumClasses,
-              "shm layout and stack pool disagree on the class count");
 static_assert(kStatsShmMaxDepth == TcbProfile::kMaxDepth,
               "shm layout and TCB capture disagree on the off-CPU depth");
 
@@ -279,52 +276,20 @@ void PublishShm() {
   if (g_shm == nullptr) {
     return;
   }
-  KernelState& k = kernel::ks();
   StatsShm* s = g_shm;
   const uint32_t seq = __atomic_load_n(&s->seq, __ATOMIC_RELAXED);
   __atomic_store_n(&s->seq, seq + 1, __ATOMIC_RELAXED);  // odd: update in progress
   __atomic_thread_fence(__ATOMIC_RELEASE);
 
   s->updated_ns = NowNs();
-  s->live_threads = k.live_threads;
-  s->ready_threads = static_cast<uint32_t>(k.ready.size());
-  s->blocked_threads = k.live_threads > s->ready_threads + 1
-                           ? k.live_threads - s->ready_threads - 1
-                           : 0;
+  ReadCounters(&s->counters);
   s->sample_hz = static_cast<uint32_t>(g_hz);
-  s->ctx_switches = k.ctx_switches;
-  s->dispatches = k.dispatches;
-  s->preemptions = k.preemptions;
-  s->kernel_entries = k.kernel_entries;
-  s->deferred_signals = k.deferred_signals;
 
   const uint64_t committed = g_committed.load(std::memory_order_relaxed);
   s->samples_offcpu = g_offcpu_samples;
   s->samples_oncpu = committed >= g_offcpu_samples ? committed - g_offcpu_samples : 0;
   s->samples_dropped = g_dropped.load(std::memory_order_relaxed);
   s->offcpu_blocked_ns = g_offcpu_blocked;
-
-  if (k.pool != nullptr) {
-    s->pool_mapped_bytes = k.pool->mapped_bytes();
-    s->pool_mapped_hw_bytes = k.pool->mapped_hw_bytes();
-    s->pool_free_bytes = k.pool->pooled_bytes();
-    s->pool_budget_bytes = k.pool->pool_budget_bytes();
-    s->stack_reuses = k.pool->stack_reuses();
-    s->stack_maps = k.pool->stack_maps();
-    s->lazy_commits = k.pool->lazy_commits();
-    for (int c = 0; c < StackPool::kNumClasses; ++c) {
-      const StackPool::ClassStats cs = k.pool->class_stats(c);
-      s->classes[c] = StatsShmStackClass{cs.hits, cs.misses, cs.evictions};
-    }
-  }
-
-  const io::IoStats ios = io::GetStats();
-  s->io_waits = ios.waits;
-  s->io_wakeups = ios.wakeups;
-  s->io_cache_hits = ios.cache_hits;
-  s->io_cache_misses = ios.cache_misses;
-  s->io_active_waiters = ios.active_waiters;
-  s->io_cached_fds = ios.cached_fds;
 
   TopStacks(*g_oncpu_agg, s->top_oncpu, kStatsShmTopStacks);
   TopStacks(*g_offcpu_agg, s->top_offcpu, kStatsShmTopStacks);

@@ -19,6 +19,7 @@ namespace {
 
 uint64_t g_counts[static_cast<int>(Call::kCount)] = {};
 int g_last_poll_timeout_ms = 0;
+size_t g_stack_commit = 0;  // FSUP_STACK_COMMIT; 0 = default, resolved when PageSize is known
 
 void Bump(Call c) { ++g_counts[static_cast<int>(c)]; }
 
@@ -208,12 +209,7 @@ size_t PageSize() {
   return page;
 }
 
-namespace {
-
-bool g_stack_lazy = true;
-size_t g_stack_commit = 0;  // 0 = default; resolved lazily so PageSize is available
-
-size_t ResolvedInitialCommit() {
+size_t StackInitialCommit() {
   const size_t page = PageSize();
   // Default four pages: enough that a thread parked anywhere in its first page can still
   // take a kernel-pushed signal frame (~3.5 KiB with AVX-512 xsave) without crossing into
@@ -222,11 +218,7 @@ size_t ResolvedInitialCommit() {
   return (commit + page - 1) & ~(page - 1);
 }
 
-}  // namespace
-
 void RefreshStackConfig() {
-  const char* lazy = ::getenv("FSUP_STACK_LAZY");
-  g_stack_lazy = !(lazy != nullptr && lazy[0] == '0');
   g_stack_commit = 0;
   if (const char* commit = ::getenv("FSUP_STACK_COMMIT"); commit != nullptr) {
     char* end = nullptr;
@@ -236,10 +228,6 @@ void RefreshStackConfig() {
     }
   }
 }
-
-bool StackLazy() { return g_stack_lazy; }
-
-size_t StackInitialCommit() { return ResolvedInitialCommit(); }
 
 void* MapStack(size_t usable_size, size_t* mapped_size_out) {
   const size_t page = PageSize();
@@ -251,13 +239,10 @@ void* MapStack(size_t usable_size, size_t* mapped_size_out) {
     errno = injected;
     return nullptr;
   }
-  const bool lazy = g_stack_lazy;
-  // Lazy mode reserves the whole range inaccessible (the guard page needs no extra protect)
-  // and commits only the top chunk; eager mode maps read-write and carves out the guard. Both
-  // shapes spend their one counted mprotect on the second step.
-  void* base = ::mmap(nullptr, total, lazy ? PROT_NONE : (PROT_READ | PROT_WRITE),
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | (lazy ? MAP_NORESERVE : 0),
-                      -1, 0);
+  // Reserve the whole range inaccessible (the guard page needs no extra protect) and spend
+  // the one counted mprotect on committing the top chunk.
+  void* base = ::mmap(nullptr, total, PROT_NONE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | MAP_NORESERVE, -1, 0);
   if (base == MAP_FAILED) {
     return nullptr;
   }
@@ -270,17 +255,11 @@ void* MapStack(size_t usable_size, size_t* mapped_size_out) {
     return nullptr;
   }
   char* usable_base = static_cast<char*>(base) + page;
-  int rc;
-  if (lazy) {
-    size_t commit = ResolvedInitialCommit();
-    if (commit > usable) {
-      commit = usable;
-    }
-    rc = ::mprotect(usable_base + usable - commit, commit, PROT_READ | PROT_WRITE);
-  } else {
-    rc = ::mprotect(base, page, PROT_NONE);
+  size_t commit = StackInitialCommit();
+  if (commit > usable) {
+    commit = usable;
   }
-  if (rc != 0) {
+  if (::mprotect(usable_base + usable - commit, commit, PROT_READ | PROT_WRITE) != 0) {
     Bump(Call::kMunmap);
     ::munmap(base, total);
     return nullptr;

@@ -86,18 +86,16 @@ void ShmUnmapStats(void* addr, size_t size);
 // Maps a thread stack with an inaccessible guard page at the low end; returns the *usable*
 // base (just above the guard) or nullptr. usable_size is rounded up to the page size.
 //
-// In the default lazy mode the usable range is reserved PROT_NONE (MAP_NORESERVE) and only
-// the top FSUP_STACK_COMMIT bytes are committed up front; the rest commits on demand from
-// the SIGSEGV handler (CommitStackRange). Either mode costs exactly one counted mmap plus
-// one counted mprotect, so fault-injection ordinals and replay logs are mode-independent.
+// The usable range is reserved PROT_NONE (MAP_NORESERVE) and only the top StackInitialCommit
+// bytes are committed up front; the rest commits on demand from the SIGSEGV handler
+// (CommitStackRange). A map costs exactly one counted mmap plus one counted mprotect.
 void* MapStack(size_t usable_size, size_t* mapped_size_out);
 void UnmapStack(void* usable_base, size_t mapped_size);
 
-// Stack-mapping configuration, cached from the environment (FSUP_STACK_LAZY, default on;
-// FSUP_STACK_COMMIT, initial commit bytes, default one page). RefreshStackConfig re-reads the
-// environment; kernel init calls it so pt_reinit picks up per-test overrides.
+// Stack-mapping configuration, cached from the environment (FSUP_STACK_COMMIT, initial commit
+// bytes, default four pages). RefreshStackConfig re-reads the environment; kernel init calls
+// it so pt_reinit picks up per-test overrides.
 void RefreshStackConfig();
-bool StackLazy();
 size_t StackInitialCommit();
 
 // Commits the whole usable range of a lazily reserved stack (RW pages cost RSS only when

@@ -64,10 +64,7 @@ StackPool::StackPool(size_t precache) : precache_target_(precache) {
     }
     ++stack_maps_;
     ++class_stats_[ClassIndex(mapped)].misses;
-    char* commit_lo = hostos::StackLazy()
-                          ? static_cast<char*>(base) + mapped - hostos::StackInitialCommit()
-                          : static_cast<char*>(base);
-    PushFree(base, mapped, commit_lo);
+    PushFree(base, mapped, static_cast<char*>(base) + mapped - hostos::StackInitialCommit());
   }
   EvictOverBudget();
 }
@@ -180,9 +177,7 @@ bool StackPool::AttachStack(Tcb* t, size_t stack_size) {
       if (cls >= 0) {
         ++class_stats_[cls].misses;
       }
-      commit_lo = hostos::StackLazy()
-                      ? static_cast<char*>(stack) + mapped - hostos::StackInitialCommit()
-                      : static_cast<char*>(stack);
+      commit_lo = static_cast<char*>(stack) + mapped - hostos::StackInitialCommit();
     } else {
       // The map failed (address space exhausted or an injected fault). Degrade before
       // failing: a recycled stack freed since the first probe (zombie reaping runs between

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <map>
 
+#include "src/debug/counters.hpp"
 #include "src/kernel/tcb.hpp"
 #include "src/util/fixed_pool.hpp"
 
@@ -88,12 +89,7 @@ class StackPool {
   size_t live_registered() const { return live_.size(); }
 
   // Per-size-class traffic: free-list reuses (hits), fresh maps (misses), budget evictions.
-  struct ClassStats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-  };
-  ClassStats class_stats(int cls) const { return class_stats_[cls]; }
+  const debug::PoolClassCounters& class_stats(int cls) const { return class_stats_[cls]; }
 
   // Reserved bytes currently mapped (live stacks + free lists) and the high-water mark of
   // that sum over the pool's lifetime.
@@ -139,7 +135,7 @@ class StackPool {
   uint64_t stack_maps_ = 0;
   uint64_t alloc_failures_ = 0;  // AttachStack exhausted both mmap and the freelist
   uint64_t lazy_commits_ = 0;    // demand-commit faults resolved by the SIGSEGV handler
-  ClassStats class_stats_[kNumClasses] = {};
+  debug::PoolClassCounters class_stats_[kNumClasses] = {};
   size_t live_bytes_ = 0;        // mapped (reserved) bytes across registered live stacks
   size_t mapped_hw_bytes_ = 0;   // high-water of live_bytes_ + free_bytes_
 

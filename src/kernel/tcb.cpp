@@ -1,5 +1,9 @@
 #include "src/kernel/tcb.hpp"
 
+#include <iterator>
+
+#include "src/debug/counters.hpp"
+
 namespace fsup {
 
 const char* ToString(ThreadState s) {
@@ -17,25 +21,10 @@ const char* ToString(ThreadState s) {
 }
 
 const char* ToString(BlockReason r) {
-  switch (r) {
-    case BlockReason::kNone:
-      return "none";
-    case BlockReason::kMutex:
-      return "mutex";
-    case BlockReason::kCond:
-      return "cond";
-    case BlockReason::kJoin:
-      return "join";
-    case BlockReason::kSigwait:
-      return "sigwait";
-    case BlockReason::kDelay:
-      return "delay";
-    case BlockReason::kIo:
-      return "io";
-    case BlockReason::kLazy:
-      return "lazy";
-  }
-  return "?";
+  static_assert(std::size(debug::kBlockReasonNames) ==
+                    static_cast<size_t>(BlockReason::kLazy) + 1,
+                "one name per BlockReason");
+  return debug::BlockReasonName(static_cast<unsigned>(r));
 }
 
 }  // namespace fsup

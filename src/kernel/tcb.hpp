@@ -128,8 +128,8 @@ struct Tcb {
   void* stack_base = nullptr;  // usable low address (guard page below)
   size_t stack_size = 0;
   bool stack_pooled = false;
-  // Lowest committed address of a lazily mapped stack (== stack_base once fully committed,
-  // or for eager stacks). The SIGSEGV handler treats faults below this watermark as demand
+  // Lowest committed address of the lazily mapped stack (== stack_base once fully
+  // committed). The SIGSEGV handler treats faults below this watermark as demand
   // paging and faults at or above it as real errors — which also guarantees the
   // commit-retry loop terminates.
   char* stack_commit_lo = nullptr;

@@ -59,20 +59,6 @@ TEST_F(DeathTest, StackOverflowDiagnosticNamesThreadAndStackSize) {
                "stack overflow in thread [0-9]+ \\[overflower\\] \\(stack size [0-9]+\\)");
 }
 
-TEST_F(DeathTest, StackOverflowDetectedWithEagerCommit) {
-  // FSUP_STACK_LAZY=0 maps stacks fully committed: the SIGSEGV handler must still classify a
-  // guard-page hit as overflow rather than mistaking it for a demand-paging fault. The env
-  // override happens inside the death statement so only the forked child reinitializes with
-  // eager stacks.
-  EXPECT_DEATH(
-      {
-        setenv("FSUP_STACK_LAZY", "0", 1);
-        pt_reinit();
-        RunOverflow();
-      },
-      "stack overflow in thread");
-}
-
 pt_thread_t g_dead_t1;
 
 void* BlockForever(void*) {

@@ -188,5 +188,16 @@ TEST_F(LibcRTest, StateBlocksFreedAtThreadExit) {
   EXPECT_EQ(before, libc_internal::LiveStateBlocks());  // TSD destructor reclaimed it
 }
 
+TEST_F(LibcRTest, ReinitFreesTheMainThreadsStateBlock) {
+  // The main thread never exits, so its block is reclaimed by pt_reinit; it must be, or every
+  // reinit after a main-thread libc call leaks one block.
+  const int before = libc_internal::LiveStateBlocks();
+  char buf[] = "a b";
+  ASSERT_STREQ("a", pt_strtok(buf, " "));
+  EXPECT_EQ(before + 1, libc_internal::LiveStateBlocks());
+  pt_reinit();
+  EXPECT_EQ(before, libc_internal::LiveStateBlocks());
+}
+
 }  // namespace
 }  // namespace fsup

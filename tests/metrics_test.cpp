@@ -94,7 +94,7 @@ TEST_F(MetricsTest, DisabledByDefaultAndKernelTotalsStillLive) {
   pt_yield();
   const MetricsSnapshot s = pt_metrics_snapshot();
   EXPECT_FALSE(s.enabled);
-  EXPECT_GT(s.kernel_entries, 0u);
+  EXPECT_GT(s.counters.kernel_entries, 0u);
   EXPECT_EQ(0u, s.mutex_wait.count);
   EXPECT_EQ(0, s.mutex_wait.PercentileNs(50));
 }

@@ -1,13 +1,14 @@
 // Statistical profiler: on-CPU sampling with symbolizable frame-pointer stacks, off-CPU
 // blocked-time attribution to the planted wait object, graceful degradation under injected
 // host-call faults, sampling across lazy stack growth (no SIGSEGV recursion), deterministic
-// sample counts under record→replay, the shared-memory stats segment + fsup_top, and the
-// capped thread dumps.
+// sample counts under record→replay, the shared-memory stats segment + fsup_top, the
+// capped thread dumps, and the one counter block every stats view prints.
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -19,12 +20,14 @@
 #include <vector>
 
 #include "src/core/pthread.hpp"
+#include "src/debug/counters.hpp"
 #include "src/debug/profiler.hpp"
 #include "src/debug/replay.hpp"
 #include "src/debug/stats_shm.hpp"
 #include "src/debug/trace.hpp"
 #include "src/hostos/fault.hpp"
 #include "src/hostos/unix_if.hpp"
+#include "src/util/dual_loop_timer.hpp"
 
 namespace fsup {
 namespace {
@@ -298,14 +301,11 @@ TEST_F(ProfilerTest, ShmMapFaultDegradesToProfilingWithoutMonitor) {
 // -- lazy stack growth -------------------------------------------------------------------
 
 TEST_F(ProfilerTest, SamplingSurvivesLazyStackGrowth) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   debug::trace::Clear();
   debug::trace::Enable(true);
   ASSERT_EQ(0, pt_profile_start(2000));
 
-  const uint64_t commits_before = pt_metrics_snapshot().lazy_commits;
+  const uint64_t commits_before = pt_metrics_snapshot().counters.lazy_commits;
   ThreadAttr attr;
   attr.stack_size = 512 * 1024;  // big enough that most of it starts uncommitted
   attr.name = "deep";
@@ -319,7 +319,7 @@ TEST_F(ProfilerTest, SamplingSurvivesLazyStackGrowth) {
   // happened (lazy_commits advanced, kStackCommit records logged) and nothing recursed
   // into the fault handler (we are alive and the samples kept flowing).
   const auto snap = pt_metrics_snapshot();
-  EXPECT_GT(snap.lazy_commits, commits_before);
+  EXPECT_GT(snap.counters.lazy_commits, commits_before);
   EXPECT_GT(pt_profile_samples(), 0u);
 
   std::vector<debug::trace::Record> recs(debug::trace::Capacity());
@@ -387,6 +387,52 @@ TEST_F(ProfilerTest, SampleCountIsDeterministicUnderRecordReplay) {
 
 // -- shared-memory stats + fsup_top ------------------------------------------------------
 
+// Copies the segment at path the way fsup_top does: mmap read-only, seqlock copy.
+bool ReadShm(const std::string& path, debug::StatsShm* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return false;
+  }
+  void* mem = ::mmap(nullptr, debug::kStatsShmSize, PROT_READ, MAP_SHARED, fd, 0);
+  ::close(fd);
+  if (mem == MAP_FAILED) {
+    return false;
+  }
+  const auto* shared = static_cast<const debug::StatsShm*>(mem);
+  bool stable = false;
+  for (int tries = 0; tries < 1000 && !stable; ++tries) {
+    const uint32_t s1 = __atomic_load_n(&shared->seq, __ATOMIC_ACQUIRE);
+    if ((s1 & 1u) != 0) {
+      continue;
+    }
+    std::memcpy(out, shared, sizeof(*out));
+    __atomic_thread_fence(__ATOMIC_ACQUIRE);
+    stable = s1 == __atomic_load_n(&shared->seq, __ATOMIC_ACQUIRE);
+  }
+  ::munmap(mem, debug::kStatsShmSize);
+  return stable;
+}
+
+// Runs fsup_top with args and returns its wait status; *out gets stdout and stderr. The read
+// retries on EINTR: the runtime's timer signals are installed without SA_RESTART, and giving
+// up on an interrupted read would close the pipe under fsup_top, killing it with SIGPIPE.
+int RunFsupTop(const char* bin, const std::string& args, std::string* out) {
+  FILE* pipe = ::popen((std::string(bin) + " " + args + " 2>&1").c_str(), "r");
+  if (pipe == nullptr) {
+    return -1;
+  }
+  char buf[512];
+  for (;;) {
+    const ssize_t n = ::read(::fileno(pipe), buf, sizeof buf);
+    if (n > 0) {
+      out->append(buf, static_cast<size_t>(n));
+    } else if (n == 0 || errno != EINTR) {
+      break;
+    }
+  }
+  return ::pclose(pipe);
+}
+
 TEST_F(ProfilerTest, StatsShmPublishesConsistentFrames) {
   const std::string shm = base_ + ".shm";
   ASSERT_EQ(0, ::setenv("FSUP_STATS_SHM", shm.c_str(), 1));
@@ -396,33 +442,14 @@ TEST_F(ProfilerTest, StatsShmPublishesConsistentFrames) {
   ASSERT_EQ(0, pt_create(&t, nullptr, BurnThread, nullptr));
   pt_delay(50 * 1000 * 1000);  // let the collector publish a few frames
 
-  // Read the segment the way fsup_top does: mmap read-only, seqlock copy.
-  const int fd = ::open(shm.c_str(), O_RDONLY);
-  ASSERT_GE(fd, 0);
-  void* mem = ::mmap(nullptr, debug::kStatsShmSize, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);
-  ASSERT_NE(MAP_FAILED, mem);
-  const auto* shared = static_cast<const debug::StatsShm*>(mem);
-
   debug::StatsShm copy{};
-  bool stable = false;
-  for (int tries = 0; tries < 1000 && !stable; ++tries) {
-    const uint32_t s1 = __atomic_load_n(&shared->seq, __ATOMIC_ACQUIRE);
-    if ((s1 & 1u) != 0) {
-      continue;
-    }
-    std::memcpy(&copy, shared, sizeof(copy));
-    __atomic_thread_fence(__ATOMIC_ACQUIRE);
-    stable = s1 == __atomic_load_n(&shared->seq, __ATOMIC_ACQUIRE);
-  }
-  ASSERT_TRUE(stable);
+  ASSERT_TRUE(ReadShm(shm, &copy));
   EXPECT_EQ(debug::kStatsShmMagic, copy.magic);
   EXPECT_EQ(debug::kStatsShmVersion, copy.version);
   EXPECT_EQ(::getpid(), copy.pid);
-  EXPECT_GE(copy.live_threads, 2u);  // main + burner (+ collector)
+  EXPECT_GE(copy.counters.live_threads, 2u);  // main + burner (+ collector)
   EXPECT_EQ(997u, copy.sample_hz);
   EXPECT_GT(copy.updated_ns, 0);
-  ::munmap(mem, debug::kStatsShmSize);
 
   ASSERT_EQ(0, pt_join(t, nullptr));
   ASSERT_EQ(0, pt_profile_stop());
@@ -441,21 +468,38 @@ TEST_F(ProfilerTest, FsupTopOnceRendersLiveStats) {
   // Attach/detach smoke: fsup_top renders one frame from our segment and exits 0 without
   // ever entering this process's Pthreads kernel (it is a separate process, not linked
   // against the library).
-  const std::string cmd = std::string(bin) + " --once " + shm + " 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  ASSERT_NE(nullptr, pipe);
   std::string out;
-  char buf[512];
-  while (std::fgets(buf, sizeof buf, pipe) != nullptr) {
-    out += buf;
-  }
-  const int rc = ::pclose(pipe);
-  EXPECT_EQ(0, rc) << out;
+  EXPECT_EQ(0, RunFsupTop(bin, "--once " + shm, &out)) << out;
   EXPECT_NE(std::string::npos, out.find("fsup_top")) << out;
   EXPECT_NE(std::string::npos, out.find("threads:")) << out;
-  EXPECT_NE(std::string::npos, out.find("pool:")) << out;
+  EXPECT_NE(std::string::npos, out.find("  pool: ")) << out;
 
   ASSERT_EQ(0, pt_profile_stop());
+}
+
+TEST_F(ProfilerTest, FsupTopRejectsAnOlderLayoutVersion) {
+  const char* bin = std::getenv("FSUP_TOP_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "FSUP_TOP_BIN not set";
+  }
+  // A segment written by a runtime of the previous layout: a valid, settled frame whose
+  // counters sit elsewhere. fsup_top must refuse it rather than render garbage.
+  const std::string shm = base_ + ".shm";
+  std::vector<char> file(debug::kStatsShmSize, 0);
+  debug::StatsShm old{};
+  old.magic = debug::kStatsShmMagic;
+  old.version = 2;
+  std::memcpy(file.data(), &old, sizeof(old));
+  FILE* f = std::fopen(shm.c_str(), "wb");
+  ASSERT_NE(nullptr, f);
+  ASSERT_EQ(file.size(), std::fwrite(file.data(), 1, file.size(), f));
+  std::fclose(f);
+
+  std::string out;
+  const int rc = RunFsupTop(bin, "--once " + shm, &out);
+  ASSERT_TRUE(WIFEXITED(rc)) << out;
+  EXPECT_EQ(1, WEXITSTATUS(rc)) << out;
+  EXPECT_NE(std::string::npos, out.find("layout version")) << out;
 }
 
 // -- counter tracks in the trace export --------------------------------------------------
@@ -531,8 +575,8 @@ TEST_F(ProfilerTest, CappedDumpsReportElidedThreads) {
   }
   EXPECT_EQ(3u, rows) << err;
   EXPECT_NE(std::string::npos, err.find("more threads")) << err;
-  EXPECT_NE(std::string::npos, err.find("pool mapped_kb=")) << err;
-  EXPECT_NE(std::string::npos, err.find("  io waits=")) << err;
+  EXPECT_NE(std::string::npos, err.find("  pool: pool_mapped_bytes=")) << err;
+  EXPECT_NE(std::string::npos, err.find("  io: io_waits=")) << err;
 
   // Capped metrics dump to a file fd.
   const std::string dump_path = base_ + ".metrics";
@@ -547,17 +591,18 @@ TEST_F(ProfilerTest, CappedDumpsReportElidedThreads) {
   ASSERT_GT(got, 0);
   text.resize(static_cast<size_t>(got));
   EXPECT_NE(std::string::npos, text.find("more threads")) << text;
-  EXPECT_NE(std::string::npos, text.find("pool mapped=")) << text;
+  EXPECT_NE(std::string::npos, text.find("  pool: pool_mapped_bytes=")) << text;
 
   // Pool/io stats surfaced through the snapshot (satellite: per-class stats + io extras).
   const auto snap = pt_metrics_snapshot();
-  EXPECT_GT(snap.live_threads, static_cast<uint64_t>(kParked));
-  EXPECT_GT(snap.pool_mapped_bytes, 0u);
-  EXPECT_GE(snap.pool_mapped_hw_bytes, snap.pool_mapped_bytes);
-  EXPECT_GT(snap.stack_maps, 0u);
+  const debug::Counters& c = snap.counters;
+  EXPECT_GT(c.live_threads, static_cast<uint64_t>(kParked));
+  EXPECT_GT(c.pool_mapped_bytes, 0u);
+  EXPECT_GE(c.pool_mapped_hw_bytes, c.pool_mapped_bytes);
+  EXPECT_GT(c.stack_maps, 0u);
   uint64_t class_traffic = 0;
-  for (const auto& c : snap.pool_classes) {
-    class_traffic += c.hits + c.misses;
+  for (const auto& pc : c.pool_classes) {
+    class_traffic += pc.hits + pc.misses;
   }
   EXPECT_GT(class_traffic, 0u) << "no size class saw any allocation";
 
@@ -570,6 +615,104 @@ TEST_F(ProfilerTest, CappedDumpsReportElidedThreads) {
   }
   ASSERT_EQ(0, pt_mutex_destroy(&p.mutex));
   ASSERT_EQ(0, pt_cond_destroy(&p.cond));
+}
+
+// -- one counter block behind every view -------------------------------------------------
+
+// The value printed after " label=", or -1 when the label is missing.
+long long LabelValue(const std::string& text, const char* label) {
+  const std::string key = std::string(" ") + label + "=";
+  const size_t pos = text.find(key);
+  return pos == std::string::npos ? -1 : std::stoll(text.substr(pos + key.size()));
+}
+
+// The per-size-class lines of a counter block, in order.
+std::string ClassLines(const std::string& text) {
+  std::string out;
+  for (size_t pos = text.find("    class["); pos != std::string::npos;
+       pos = text.find("    class[", pos + 1)) {
+    out += text.substr(pos, text.find('\n', pos) - pos + 1);
+  }
+  return out;
+}
+
+TEST_F(ProfilerTest, EveryStatsViewPrintsTheSameCounterBlock) {
+  const char* bin = std::getenv("FSUP_TOP_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "FSUP_TOP_BIN not set";
+  }
+  const std::string shm = base_ + ".shm";
+  ASSERT_EQ(0, ::setenv("FSUP_STATS_SHM", shm.c_str(), 1));
+  ASSERT_EQ(0, pt_profile_start(997));
+
+  // Pool traffic in two size classes.
+  ThreadAttr small;
+  small.stack_size = kMinStackSize;
+  const ThreadAttr* attrs[] = {nullptr, &small};
+  for (const ThreadAttr* attr : attrs) {
+    pt_thread_t t = nullptr;
+    ASSERT_EQ(0, pt_create(&t, attr, +[](void*) -> void* { return nullptr; }, nullptr));
+    ASSERT_EQ(0, pt_join(t, nullptr));
+  }
+  // Quiesce: spin (never idling, so no io probe runs) until the collector publishes a frame
+  // stamped after the spin began. From here on the io and pool counters stand still.
+  const int64_t since = NowNs();
+  debug::StatsShm frame{};
+  while (!ReadShm(shm, &frame) || frame.updated_ns <= since) {
+    ASSERT_LT(NowNs() - since, int64_t{5} * 1000 * 1000 * 1000) << "no shm publish";
+  }
+
+  const auto snap = pt_metrics_snapshot();
+  ::testing::internal::CaptureStderr();
+  pt_dump_threads();
+  const std::string threads = ::testing::internal::GetCapturedStderr();
+  const std::string dump_path = base_ + ".metrics";
+  const int fd = ::open(dump_path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(0, pt_metrics_dump(fd));
+  ::lseek(fd, 0, SEEK_SET);
+  std::string metrics(65536, '\0');
+  const long got = ::read(fd, metrics.data(), metrics.size());
+  ::close(fd);
+  std::remove(dump_path.c_str());
+  ASSERT_GT(got, 0);
+  metrics.resize(static_cast<size_t>(got));
+  std::string top;
+  ASSERT_EQ(0, RunFsupTop(bin, "--once " + shm, &top)) << top;
+
+  // The snapshot's block, printed, is the reference: every "label=value" on its kernel, io
+  // and pool lines must appear in each view; io and pool values must match (kernel counters
+  // move with every kernel entry).
+  std::string want;
+  debug::PrintCounters(snap.counters, [&](const char* text) { want += text; });
+  size_t labels = 0;
+  for (size_t eol, bol = 0; (eol = want.find('\n', bol)) != std::string::npos; bol = eol + 1) {
+    const std::string row = want.substr(bol, eol - bol);
+    if (row.rfind("    class[", 0) == 0) {
+      continue;
+    }
+    const bool exact = row.rfind("  kernel:", 0) != 0;
+    for (size_t eq = row.find('='); eq != std::string::npos; eq = row.find('=', eq + 1)) {
+      const size_t start = row.rfind(' ', eq) + 1;
+      const std::string label = row.substr(start, eq - start);
+      ++labels;
+      for (const std::string& view : {threads, metrics, top}) {
+        const long long v = LabelValue(view, label.c_str());
+        EXPECT_GE(v, 0) << label << " missing from\n" << view;
+        if (exact) {
+          EXPECT_EQ(std::stoll(row.substr(eq + 1)), v) << label << " in\n" << view;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(26u, labels) << want;  // the parse saw every field of the block
+  const std::string want_classes = ClassLines(want);
+  EXPECT_NE(std::string::npos, want_classes.find("class[0] (16K)")) << want_classes;
+  EXPECT_EQ(want_classes, ClassLines(threads));
+  EXPECT_EQ(want_classes, ClassLines(metrics));
+  EXPECT_EQ(want_classes, ClassLines(top));
+
+  ASSERT_EQ(0, pt_profile_stop());
 }
 
 }  // namespace

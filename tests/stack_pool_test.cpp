@@ -1,7 +1,7 @@
 // Size-classed stack pool edge cases: class geometry, per-class recycling, the non-pow2
 // bypass, the bytes-based recycle budget with largest-first eviction, lazy-commit demand
 // paging (unit level via ClassifyStackFault and end-to-end via a deep-frame thread), and the
-// eager-mode (FSUP_STACK_LAZY=0) watermark.
+// commit watermark a recycled stack keeps.
 
 #include <gtest/gtest.h>
 
@@ -20,13 +20,11 @@ class StackPoolTest : public ::testing::Test {
  protected:
   void SetUp() override {
     // Stack knobs are cached process-wide; make each test start from the defaults.
-    ::unsetenv("FSUP_STACK_LAZY");
     ::unsetenv("FSUP_STACK_COMMIT");
     ::unsetenv("FSUP_STACK_POOL_BYTES");
     pt_reinit();
   }
   void TearDown() override {
-    ::unsetenv("FSUP_STACK_LAZY");
     ::unsetenv("FSUP_STACK_COMMIT");
     ::unsetenv("FSUP_STACK_POOL_BYTES");
     hostos::RefreshStackConfig();
@@ -122,9 +120,6 @@ TEST_F(StackPoolTest, TcbSlotsComeFromTheSlabFreeList) {
 }
 
 TEST_F(StackPoolTest, ClassifyStackFaultResolvesLazyAndGuardFaults) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   StackPool pool(0);
   Tcb* t1 = pool.Allocate(kDefaultStackSize);
   Tcb* t2 = pool.Allocate(kDefaultStackSize);
@@ -165,9 +160,6 @@ TEST_F(StackPoolTest, ClassifyStackFaultResolvesLazyAndGuardFaults) {
 }
 
 TEST_F(StackPoolTest, RecycledStackKeepsItsCommitWatermark) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   StackPool pool(0);
   Tcb* t = pool.Allocate(kDefaultStackSize);
   ASSERT_NE(nullptr, t);
@@ -184,19 +176,6 @@ TEST_F(StackPoolTest, RecycledStackKeepsItsCommitWatermark) {
   pool.Free(t2);
 }
 
-TEST_F(StackPoolTest, EagerModeCommitsTheWholeStackUpFront) {
-  ASSERT_EQ(0, ::setenv("FSUP_STACK_LAZY", "0", 1));
-  StackPool pool(0);  // the constructor re-reads the knobs
-  EXPECT_FALSE(hostos::StackLazy());
-  Tcb* t = pool.Allocate(kDefaultStackSize);
-  ASSERT_NE(nullptr, t);
-  // Watermark at the base: no lazy band, every page is RW from birth.
-  EXPECT_EQ(static_cast<char*>(t->stack_base), t->stack_commit_lo);
-  EXPECT_EQ(StackFaultInfo::Kind::kNone,
-            pool.ClassifyStackFault(static_cast<char*>(t->stack_base) + 64, t).kind);
-  pool.Free(t);
-}
-
 // End-to-end demand paging: a thread whose first frame lands far below the initial commit
 // faults once, the SIGSEGV handler commits the reservation, and the thread never notices.
 __attribute__((noinline)) void* DeepFrameBody(void*) {
@@ -207,9 +186,6 @@ __attribute__((noinline)) void* DeepFrameBody(void*) {
 }
 
 TEST_F(StackPoolTest, DeepFirstFrameIsDemandCommittedTransparently) {
-  if (!hostos::StackLazy()) {
-    GTEST_SKIP() << "lazy commit disabled in this environment";
-  }
   const uint64_t before = probe::StackPoolLazyCommits();
   pt_thread_t t;
   ASSERT_EQ(0, pt_create(&t, nullptr, &DeepFrameBody, nullptr));

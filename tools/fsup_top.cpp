@@ -26,20 +26,15 @@
 
 namespace {
 
+using fsup::debug::BlockReasonName;
+using fsup::debug::Counters;
 using fsup::debug::kStatsShmMagic;
 using fsup::debug::kStatsShmSize;
 using fsup::debug::kStatsShmTopStacks;
 using fsup::debug::kStatsShmVersion;
+using fsup::debug::PrintCounters;
 using fsup::debug::StatsShm;
 using fsup::debug::StatsShmStack;
-
-// Mirrors fsup::BlockReason (kernel/types.hpp) — kept by hand because this binary must not
-// include library headers beyond the freestanding shm layout.
-const char* ReasonName(uint8_t r) {
-  static const char* kNames[] = {"none", "mutex", "cond", "join",
-                                 "sigwait", "delay", "io", "lazy"};
-  return r < sizeof(kNames) / sizeof(kNames[0]) ? kNames[r] : "?";
-}
 
 int64_t MonotonicNowNs() {
   timespec ts{};
@@ -76,8 +71,8 @@ void PrintStacks(const char* title, const StatsShmStack* rows, bool offcpu) {
     }
     any = true;
     if (offcpu) {
-      std::printf("  %8.2fms x%-6" PRIu64 " %s#%-6u ",
-                  static_cast<double>(s.weight) / 1e6, s.count, ReasonName(s.reason), s.tag);
+      std::printf("  %8.2fms x%-6" PRIu64 " %s#%-6u ", static_cast<double>(s.weight) / 1e6,
+                  s.count, BlockReasonName(s.reason), s.tag);
     } else {
       std::printf("  %8" PRIu64 " samples          ", s.count);
     }
@@ -98,33 +93,24 @@ void Render(const StatsShm& s, const StatsShm* prev, int64_t interval_ns) {
   const int64_t age_ns = MonotonicNowNs() - s.updated_ns;
   std::printf("fsup_top — pid %d%s\n", s.pid,
               age_ns > 2000000000 ? "  [STALE: no publish in >2s]" : "");
-  std::printf("threads: live=%u ready=%u blocked=%u   sampler: %u Hz\n", s.live_threads,
-              s.ready_threads, s.blocked_threads, s.sample_hz);
-
+  const Counters& c = s.counters;
   auto rate = [&](uint64_t cur, uint64_t old) -> double {
     if (prev == nullptr || interval_ns <= 0 || cur < old) {
       return 0.0;
     }
     return static_cast<double>(cur - old) * 1e9 / static_cast<double>(interval_ns);
   };
-  std::printf("kernel:  ctx_switches=%" PRIu64 " (%.0f/s) dispatches=%" PRIu64
-              " preemptions=%" PRIu64 " entries=%" PRIu64 " deferred_sigs=%" PRIu64 "\n",
-              s.ctx_switches, rate(s.ctx_switches, prev != nullptr ? prev->ctx_switches : 0),
-              s.dispatches, s.preemptions, s.kernel_entries, s.deferred_signals);
+  // blocked = live - ready - the one running thread: O(1), no thread walk.
+  std::printf("threads: blocked=%" PRIu64 " ctx_switches/s=%.0f   sampler: %u Hz\n",
+              c.live_threads > c.ready_threads + 1 ? c.live_threads - c.ready_threads - 1 : 0,
+              rate(c.ctx_switches, prev != nullptr ? prev->counters.ctx_switches : 0),
+              s.sample_hz);
   std::printf("profile: oncpu=%" PRIu64 " (%.0f/s) offcpu=%" PRIu64 " dropped=%" PRIu64
               " blocked_total=%.1fms\n",
               s.samples_oncpu, rate(s.samples_oncpu, prev != nullptr ? prev->samples_oncpu : 0),
               s.samples_offcpu, s.samples_dropped,
               static_cast<double>(s.offcpu_blocked_ns) / 1e6);
-  std::printf("pool:    mapped=%" PRIu64 "K (hw=%" PRIu64 "K) free=%" PRIu64 "K budget=%" PRIu64
-              "K reuses=%" PRIu64 " maps=%" PRIu64 " lazy_commits=%" PRIu64 "\n",
-              s.pool_mapped_bytes / 1024, s.pool_mapped_hw_bytes / 1024,
-              s.pool_free_bytes / 1024, s.pool_budget_bytes / 1024, s.stack_reuses,
-              s.stack_maps, s.lazy_commits);
-  std::printf("io:      waits=%" PRIu64 " wakeups=%" PRIu64 " cache_hits=%" PRIu64
-              " misses=%" PRIu64 " active_waiters=%d cached_fds=%d\n",
-              s.io_waits, s.io_wakeups, s.io_cache_hits, s.io_cache_misses,
-              s.io_active_waiters, s.io_cached_fds);
+  PrintCounters(c, [](const char* text) { std::fputs(text, stdout); });
   PrintStacks("hottest on-CPU stacks:", s.top_oncpu, false);
   PrintStacks("top blocked (off-CPU):", s.top_offcpu, true);
 }
