@@ -12,8 +12,8 @@
 // A and B are measured with the paper's dual-loop methodology in interleaved trials (ABBA…
 // alternation so drift hits both alike) and compared with Welch's criterion. For context, the
 // enabled costs are reported too: the off-CPU attribution price per block/wake cycle on a
-// two-thread semaphore ping-pong, and the on-CPU per-sample price (signal delivery + bounded
-// frame walk + ring commit) from a timed CPU burn under a fast ITIMER_PROF.
+// two-thread semaphore ping-pong, and the on-CPU per-sample price (bounded frame walk + fold)
+// on the tick-sampling path.
 //
 // Writes BENCH_profile.json (override with FSUP_PROFILE_JSON). FSUP_PROFILE_SMOKE=1 shrinks
 // every dimension for the ctest smoke run.
@@ -102,7 +102,7 @@ double MeasurePingPong(int64_t rounds) {
 // burn cannot accumulate enough samples to resolve microsecond-scale per-sample cost above
 // run-to-run noise. Price the path directly instead: under a recording session the profiler
 // runs in tick-sampling mode, and profiler::OnTick() is the exact shipped sample path (gate,
-// bounded frame walk, ring commit, amortized in-kernel fold). Driving it from an Enter/Exit
+// bounded frame walk, in-kernel fold into the fixed table). Driving it from an Enter/Exit
 // loop and subtracting the bare crossing isolates one sample's cost.
 
 double MeasureTickSample(int64_t iters) {
@@ -203,7 +203,7 @@ int main() {
               on.mean() - off.mean(), per_cycle);
 
   std::printf("\nContext — on-CPU sample path (tick mode, %lld samples): %.1f ns/sample "
-              "(walk + ring commit + amortized fold; bare crossing %.1f ns subtracted)\n",
+              "(walk + fold; bare crossing %.1f ns subtracted)\n",
               static_cast<long long>(samples), per_sample_ns, crossing_ns);
 
   const char* jp = std::getenv("FSUP_PROFILE_JSON");

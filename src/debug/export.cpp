@@ -93,8 +93,8 @@ int TraceDumpJson(const char* path) {
   // Profiler counter points become Perfetto "C" counter tracks interleaved with the trace
   // records (same clock — both stamp NowNs), so ready-queue depth and sampling rate line up
   // under the scheduling slices.
-  profiler::CounterPoint counters[256];
-  const int ncounters = profiler::CounterSnapshot(counters, 256);
+  std::vector<profiler::CounterPoint> counters(profiler::kCounterPoints);
+  const int ncounters = profiler::CounterSnapshot(counters.data(), profiler::kCounterPoints);
 
   const long pid = static_cast<long>(::getpid());
   int64_t t0 = recs.empty() ? 0 : recs.front().t_ns;
@@ -166,8 +166,9 @@ int TraceDumpJson(const char* path) {
                    pid, tid, ToUs(last_ns, t0));
     }
   }
-  // "C" counter tracks from the profiler's collector. samples holds the cumulative on-CPU
-  // sample count; the rate track is the delta over each collector interval.
+  // "C" counter tracks from the profiler's collector: one per field of the counter block,
+  // under the block's labels, plus samples_per_s, the delta of the cumulative sample count
+  // over each collector interval.
   for (int i = 0; i < ncounters; ++i) {
     const profiler::CounterPoint& c = counters[i];
     const double ts = ToUs(c.t_ns, t0);
@@ -178,9 +179,11 @@ int TraceDumpJson(const char* path) {
                    "\"cat\":\"fsup\",\"args\":{\"value\":%.0f}}",
                    pid, ts, name, value);
     };
-    counter("live_threads", static_cast<double>(c.live_threads));
-    counter("ready_depth", static_cast<double>(c.ready_depth));
-    counter("stack_pool_mapped_bytes", static_cast<double>(c.pool_mapped_bytes));
+#define FSUP_COUNTER_LINE(line)
+#define FSUP_COUNTER_TRACK(name) counter(#name, static_cast<double>(c.counters.name));
+    FSUP_DEBUG_COUNTERS(FSUP_COUNTER_LINE, FSUP_COUNTER_TRACK)
+#undef FSUP_COUNTER_TRACK
+#undef FSUP_COUNTER_LINE
     if (i > 0) {
       const int64_t dt_ns = c.t_ns - counters[i - 1].t_ns;
       const uint64_t ds = c.samples - counters[i - 1].samples;

@@ -1,17 +1,13 @@
 #include "src/debug/profiler.hpp"
 
-#include <fcntl.h>
 #include <sys/time.h>
 #include <ucontext.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <unordered_map>
-#include <vector>
 
 #include "src/core/pthread.hpp"
 #include "src/debug/probe.hpp"
@@ -19,8 +15,6 @@
 #include "src/debug/stats_shm.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/kernel.hpp"
-#include "src/kernel/stack_pool.hpp"
-#include "src/util/assert.hpp"
 #include "src/util/dual_loop_timer.hpp"
 #include "src/util/log.hpp"
 
@@ -40,21 +34,17 @@ static_assert(kStatsShmMaxDepth == TcbProfile::kMaxDepth,
               "shm layout and TCB capture disagree on the off-CPU depth");
 
 // ---------------------------------------------------------------------------------------------
-// The sample ring. Writers are the SIGPROF sampler (signal context, may interrupt anything),
-// and the in-kernel emitters (tick sampling, off-CPU wakes). A writer reserves a slot with a
-// bounded CAS (dropping when the ring is full), fills it, and commits. The collector drains
-// in-kernel under the g_draining flag: the SIGPROF sampler — the only writer that could run
-// concurrently with a drain on this single OS thread — sees the flag and skips, and any
-// in-kernel writer's frame has necessarily unwound by the time the collector runs, so at drain
-// time reserved == committed and every slot below the cursor is fully written.
+// The sample ring. Its one writer is the SIGPROF sampler, which runs with every signal
+// blocked, so it never nests; it drops when the ring is full. The collector drains in-kernel
+// under the g_draining flag, which the sampler sees and skips. The in-kernel emitters (tick
+// sampling, off-CPU wakes) bypass the ring and fold straight into the aggregates.
 // ---------------------------------------------------------------------------------------------
 
 constexpr int kMaxDepth = 24;   // on-CPU frames kept per sample
-constexpr int kRingCap = 4096;  // samples buffered between collector drains
+constexpr int kRingCap = 4096;  // SIGPROF samples buffered between collector drains
 
 struct Sample {
   uint64_t weight;  // on-CPU: 1; off-CPU: blocked nanoseconds
-  uint32_t tid;
   uint32_t tag;     // wait-object tag (off-CPU), 0 otherwise
   uint8_t kind;     // 0 = on-CPU, 1 = off-CPU
   uint8_t reason;   // BlockReason raw value (off-CPU)
@@ -63,25 +53,19 @@ struct Sample {
 };
 
 Sample g_ring[kRingCap];
-std::atomic<uint64_t> g_reserved{0};
 std::atomic<uint64_t> g_committed{0};
-std::atomic<uint64_t> g_read{0};     // drain cursor; sampler reads it to bound reservation
-std::atomic<uint64_t> g_dropped{0};  // ring-full + drain-window + agg-cap drops
+std::atomic<uint64_t> g_read{0};     // drain cursor; sampler reads it to bound the ring
+std::atomic<uint64_t> g_dropped{0};  // ring-full + drain-window + table-full drops
 volatile bool g_draining = false;
 
 void EmitSample(const Sample& s) {
-  uint64_t seq = g_reserved.load(std::memory_order_relaxed);
-  for (int tries = 0;; ++tries) {
-    if (seq - g_read.load(std::memory_order_relaxed) >= kRingCap || tries >= 8) {
-      g_dropped.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    if (g_reserved.compare_exchange_weak(seq, seq + 1, std::memory_order_relaxed)) {
-      break;
-    }
+  const uint64_t seq = g_committed.load(std::memory_order_relaxed);
+  if (seq - g_read.load(std::memory_order_relaxed) >= kRingCap) {
+    g_dropped.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
   g_ring[seq % kRingCap] = s;
-  g_committed.fetch_add(1, std::memory_order_release);
+  g_committed.store(seq + 1, std::memory_order_release);
 }
 
 // ---------------------------------------------------------------------------------------------
@@ -146,24 +130,46 @@ int WalkFrames(uintptr_t pc, uintptr_t fp, const WalkBounds& b, uintptr_t* out, 
   return n;
 }
 
+// One on-CPU sample of thread t (nullptr: the main thread) stopped at pc, with frame pointer
+// fp and stack pointer sp.
+Sample OnCpuSample(const Tcb* t, uintptr_t pc, uintptr_t fp, uintptr_t sp) {
+  Sample s = {};
+  s.weight = 1;
+  s.depth = static_cast<uint8_t>(WalkFrames(pc, fp, BoundsFor(t, sp), s.pcs, kMaxDepth));
+  return s;
+}
+
 // ---------------------------------------------------------------------------------------------
-// Aggregation (collector-side, in-kernel). Samples fold into (stack hash → weight/count); the
-// entry cap bounds memory on adversarial stack diversity, overflow counts as drops.
+// Aggregation (in-kernel). Each kind folds into one fixed-capacity open-addressing table: a
+// dense entry array filled in first-seen order, plus a power-of-two index of entry numbers
+// probed linearly from the FNV stack hash. Both tables come from one calloc the first time
+// profiling starts, outside the kernel, and folds only write into them: a fold can run from the
+// universal signal handler's timer tick, which may have interrupted the C library's
+// non-reentrant malloc. calloc's fresh pages fault in as entries are used, so resident memory
+// follows the number of distinct stacks. A stack that finds its table full counts as a drop.
 // ---------------------------------------------------------------------------------------------
+
+constexpr uint32_t kMaxStacks = 65536;          // per kind
+constexpr uint32_t kIndexSlots = 2 * kMaxStacks;  // power of two; load factor <= 1/2
 
 struct Agg {
-  uint64_t weight = 0;
-  uint64_t count = 0;
-  uint32_t tag = 0;
-  uint8_t reason = 0;
-  uint8_t depth = 0;
-  uintptr_t pcs[kMaxDepth] = {};
+  uint64_t hash;
+  uint64_t weight;
+  uint64_t count;
+  uint32_t tag;
+  uint32_t slot;  // index slot naming this entry, so a reset clears only what was used
+  uint8_t reason;
+  uint8_t depth;
+  uintptr_t pcs[kMaxDepth];
 };
 
-constexpr size_t kMaxAggEntries = 65536;
+struct Table {
+  Agg entries[kMaxStacks];
+  uint32_t index[kIndexSlots];  // entry number + 1; 0 = empty
+  uint32_t used;
+};
 
-std::unordered_map<uint64_t, Agg>* g_oncpu_agg = nullptr;
-std::unordered_map<uint64_t, Agg>* g_offcpu_agg = nullptr;
+Table* g_tables = nullptr;  // [2], by Sample::kind
 
 uint64_t HashSample(const Sample& s) {
   uint64_t h = 1469598103934665603ull;
@@ -181,44 +187,44 @@ uint64_t HashSample(const Sample& s) {
   return h;
 }
 
+uint64_t g_kernel_samples = 0;   // samples the in-kernel emitters folded without the ring
 uint64_t g_offcpu_samples = 0;   // off-CPU wake records folded
 uint64_t g_offcpu_blocked = 0;   // total blocked ns folded
 
 void Fold(const Sample& s) {
-  auto* agg = s.kind == 0 ? g_oncpu_agg : g_offcpu_agg;
+  Table& t = g_tables[s.kind];
   const uint64_t h = HashSample(s);
-  auto it = agg->find(h);
-  if (it == agg->end()) {
-    if (agg->size() >= kMaxAggEntries) {
+  uint32_t slot = static_cast<uint32_t>(h) & (kIndexSlots - 1);
+  while (t.index[slot] != 0 && t.entries[t.index[slot] - 1].hash != h) {
+    slot = (slot + 1) & (kIndexSlots - 1);
+  }
+  if (t.index[slot] == 0) {
+    if (t.used == kMaxStacks) {
       g_dropped.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    Agg a;
-    a.tag = s.tag;
-    a.reason = s.reason;
-    a.depth = s.depth;
-    std::memcpy(a.pcs, s.pcs, sizeof(uintptr_t) * s.depth);
-    it = agg->emplace(h, a).first;
+    t.entries[t.used] = Agg{h, 0, 0, s.tag, slot, s.reason, s.depth, {}};
+    std::memcpy(t.entries[t.used].pcs, s.pcs, sizeof(uintptr_t) * s.depth);
+    t.index[slot] = ++t.used;
   }
-  it->second.weight += s.weight;
-  it->second.count += 1;
+  Agg& a = t.entries[t.index[slot] - 1];
+  a.weight += s.weight;
+  a.count += 1;
   if (s.kind != 0) {
     ++g_offcpu_samples;
     g_offcpu_blocked += s.weight;
   }
 }
 
-// Drains [g_read, reserved) into the aggregates. In-kernel only; see the ring comment for why
-// reserved == committed holds here.
+// Drains [g_read, committed) into the aggregates. In-kernel only.
 void DrainRing() {
   g_draining = true;
   std::atomic_signal_fence(std::memory_order_seq_cst);
-  const uint64_t reserved = g_reserved.load(std::memory_order_relaxed);
-  FSUP_ASSERT(reserved == g_committed.load(std::memory_order_acquire));
-  for (uint64_t i = g_read.load(std::memory_order_relaxed); i != reserved; ++i) {
+  const uint64_t committed = g_committed.load(std::memory_order_acquire);
+  for (uint64_t i = g_read.load(std::memory_order_relaxed); i != committed; ++i) {
     Fold(g_ring[i % kRingCap]);
   }
-  g_read.store(reserved, std::memory_order_relaxed);
+  g_read.store(committed, std::memory_order_relaxed);
   std::atomic_signal_fence(std::memory_order_seq_cst);
   g_draining = false;
 }
@@ -237,17 +243,17 @@ pt_thread_t g_collector = nullptr;
 StatsShm* g_shm = nullptr;
 
 // Perfetto counter tracks: one point per collection period, fixed overwrite ring.
-constexpr int kCounterCap = 256;
-CounterPoint g_counter_ring[kCounterCap];
+CounterPoint g_counter_ring[kCounterPoints];
 uint64_t g_counter_total = 0;
 
 constexpr int64_t kCollectPeriodNs = 20 * 1000 * 1000;
 
-void TopStacks(const std::unordered_map<uint64_t, Agg>& agg, StatsShmStack* out, int n) {
+void TopStacks(const Table& t, StatsShmStack* out, int n) {
   for (int i = 0; i < n; ++i) {
     out[i] = StatsShmStack{};
   }
-  for (const auto& [h, a] : agg) {
+  for (uint32_t e = 0; e < t.used; ++e) {
+    const Agg& a = t.entries[e];
     // Insertion sort into the fixed top-N array, descending by weight.
     int slot = n;
     while (slot > 0 && a.weight > out[slot - 1].weight) {
@@ -272,7 +278,7 @@ void TopStacks(const std::unordered_map<uint64_t, Agg>& agg, StatsShmStack* out,
 }
 
 // Publishes one seqlock-versioned frame into the shared segment. In-kernel (single writer).
-void PublishShm() {
+void PublishShm(const CounterPoint& p) {
   if (g_shm == nullptr) {
     return;
   }
@@ -281,18 +287,17 @@ void PublishShm() {
   __atomic_store_n(&s->seq, seq + 1, __ATOMIC_RELAXED);  // odd: update in progress
   __atomic_thread_fence(__ATOMIC_RELEASE);
 
-  s->updated_ns = NowNs();
-  ReadCounters(&s->counters);
+  s->updated_ns = p.t_ns;
+  s->counters = p.counters;
   s->sample_hz = static_cast<uint32_t>(g_hz);
 
-  const uint64_t committed = g_committed.load(std::memory_order_relaxed);
   s->samples_offcpu = g_offcpu_samples;
-  s->samples_oncpu = committed >= g_offcpu_samples ? committed - g_offcpu_samples : 0;
+  s->samples_oncpu = p.samples >= g_offcpu_samples ? p.samples - g_offcpu_samples : 0;
   s->samples_dropped = g_dropped.load(std::memory_order_relaxed);
   s->offcpu_blocked_ns = g_offcpu_blocked;
 
-  TopStacks(*g_oncpu_agg, s->top_oncpu, kStatsShmTopStacks);
-  TopStacks(*g_offcpu_agg, s->top_offcpu, kStatsShmTopStacks);
+  TopStacks(g_tables[0], s->top_oncpu, kStatsShmTopStacks);
+  TopStacks(g_tables[1], s->top_offcpu, kStatsShmTopStacks);
 
   __atomic_thread_fence(__ATOMIC_RELEASE);
   __atomic_store_n(&s->seq, seq + 2, __ATOMIC_RELEASE);  // even: frame consistent
@@ -301,16 +306,11 @@ void PublishShm() {
 // One collection period: drain, stamp a counter point, republish the shm frame. In-kernel.
 void CollectOnce() {
   DrainRing();
-  KernelState& k = kernel::ks();
-  CounterPoint p;
+  CounterPoint& p = g_counter_ring[g_counter_total++ % kCounterPoints];
   p.t_ns = NowNs();
-  p.live_threads = k.live_threads;
-  p.ready_depth = static_cast<uint32_t>(k.ready.size());
-  p.pool_mapped_bytes = k.pool != nullptr ? k.pool->mapped_bytes() : 0;
-  p.samples = g_committed.load(std::memory_order_relaxed);
-  g_counter_ring[g_counter_total % kCounterCap] = p;
-  ++g_counter_total;
-  PublishShm();
+  ReadCounters(&p.counters);
+  p.samples = SampleCount();
+  PublishShm(p);
 }
 
 void* CollectorMain(void*) {
@@ -341,15 +341,15 @@ void DisarmItimer() {
 }
 
 void ResetSession() {
-  const uint64_t reserved = g_reserved.load(std::memory_order_relaxed);
-  g_read.store(reserved, std::memory_order_relaxed);  // discard unconsumed samples
+  g_read.store(g_committed.load(std::memory_order_relaxed),
+               std::memory_order_relaxed);  // discard unconsumed samples
   g_dropped.store(0, std::memory_order_relaxed);
-  if (g_oncpu_agg == nullptr) {
-    g_oncpu_agg = new std::unordered_map<uint64_t, Agg>();
-    g_offcpu_agg = new std::unordered_map<uint64_t, Agg>();
+  for (Table* t = g_tables; t != g_tables + 2; ++t) {
+    for (uint32_t e = 0; e < t->used; ++e) {
+      t->index[t->entries[e].slot] = 0;
+    }
+    t->used = 0;
   }
-  g_oncpu_agg->clear();
-  g_offcpu_agg->clear();
   g_offcpu_samples = 0;
   g_offcpu_blocked = 0;
   g_counter_total = 0;
@@ -386,49 +386,50 @@ void WriteFolded(FILE* f, const Agg& a, bool offcpu) {
   std::fprintf(f, " %llu\n", static_cast<unsigned long long>(value));
 }
 
-int CopyMapsSidecar(const char* path) {
-  const int in = ::open("/proc/self/maps", O_RDONLY | O_CLOEXEC);
-  if (in < 0) {
+// Closes f, returning 0, or the errno of a failed close (EIO for an earlier write error).
+int CloseChecked(FILE* f) {
+  if (std::ferror(f) != 0) {
+    std::fclose(f);
+    return EIO;
+  }
+  if (std::fclose(f) != 0) {
+    return errno != 0 ? errno : EIO;
+  }
+  return 0;
+}
+
+int WriteFoldedFile(const char* path, const Agg* aggs, uint32_t n, bool offcpu) {
+  FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
     return errno;
   }
-  const int out = ::open(path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (out < 0) {
+  for (uint32_t i = 0; i < n; ++i) {
+    WriteFolded(f, aggs[i], offcpu);
+  }
+  return CloseChecked(f);
+}
+
+int CopyMapsSidecar(const char* path) {
+  FILE* in = std::fopen("/proc/self/maps", "r");
+  if (in == nullptr) {
+    return errno;
+  }
+  FILE* out = std::fopen(path, "w");
+  if (out == nullptr) {
     const int err = errno;
-    ::close(in);
+    std::fclose(in);
     return err;
   }
   char buf[4096];
-  long n;
-  while ((n = ::read(in, buf, sizeof buf)) > 0) {
-    long off = 0;
-    while (off < n) {
-      const long w = ::write(out, buf + off, static_cast<size_t>(n - off));
-      if (w < 0) {
-        break;
-      }
-      off += w;
-    }
+  for (size_t n; (n = std::fread(buf, 1, sizeof buf, in)) > 0;) {
+    std::fwrite(buf, 1, n, out);  // a failure shows in CloseChecked's ferror
   }
-  ::close(in);
-  ::close(out);
-  return 0;
+  std::fclose(in);
+  return CloseChecked(out);
 }
 
 // FSUP_PROFILE_FILE: dump at process exit, same pattern as FSUP_TRACE_FILE.
 char g_atexit_path[512] = {};
-
-// The in-kernel emitters (off-CPU wakes, tick samples) fold eagerly instead of dropping when
-// the ring runs ahead — in-kernel is DrainRing's only precondition. A broadcast at N=4096
-// produces thousands of wake records inside one kernel entry, far faster than the
-// collector's 20ms drain, and in deterministic mode no collector runs at all: the ring's
-// only consumers are these eager folds and the final Stop/Dump drain.
-void EmitInKernel(const Sample& s) {
-  if (g_reserved.load(std::memory_order_relaxed) - g_read.load(std::memory_order_relaxed) >=
-      kRingCap - kRingCap / 4) {
-    DrainRing();
-  }
-  EmitSample(s);
-}
 
 void AtExitDump() {
   if (g_atexit_path[0] != '\0') {
@@ -472,14 +473,14 @@ void OnReady(Tcb* t) {
   Sample s;
   const int64_t now = NowNs();
   s.weight = now > p.block_since_ns ? static_cast<uint64_t>(now - p.block_since_ns) : 0;
-  s.tid = t->id;
   s.tag = p.block_tag;
   s.kind = 1;
   s.reason = p.block_reason;
   s.depth = p.depth;
   std::memcpy(s.pcs, p.pcs, sizeof(uintptr_t) * p.depth);
   p.depth = 0;  // capture consumed
-  EmitInKernel(s);
+  ++g_kernel_samples;
+  Fold(s);
 }
 
 void OnTickSlow() {
@@ -487,18 +488,10 @@ void OnTickSlow() {
   // (instead of from an unsynchronized ITIMER_PROF) makes the sample sequence reproducible.
   // The tick runs in-kernel on the interrupted thread's behalf; we sample the live kernel
   // call stack, which chains back into the interrupted user frames on the same stack.
-  Tcb* t = kernel::ks().current;
-  const uintptr_t fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
-  const WalkBounds b = BoundsFor(t, fp);
+  const auto fp = reinterpret_cast<uintptr_t>(__builtin_frame_address(0));
   const auto pc = reinterpret_cast<uintptr_t>(__builtin_return_address(0));
-  Sample s;
-  s.weight = 1;
-  s.tid = t != nullptr ? t->id : 0;
-  s.tag = 0;
-  s.kind = 0;
-  s.reason = 0;
-  s.depth = static_cast<uint8_t>(WalkFrames(pc, fp, b, s.pcs, kMaxDepth));
-  EmitInKernel(s);
+  ++g_kernel_samples;
+  Fold(OnCpuSample(kernel::ks().current, pc, fp, fp));
 }
 
 void OnSigprof(void* ucontext) {
@@ -514,16 +507,7 @@ void OnSigprof(void* ucontext) {
   const auto pc = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
   const auto fp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RBP]);
   const auto sp = static_cast<uintptr_t>(uc->uc_mcontext.gregs[REG_RSP]);
-  Tcb* t = kernel::ks().current;
-  const WalkBounds b = BoundsFor(t, sp);
-  Sample s;
-  s.weight = 1;
-  s.tid = t != nullptr ? t->id : 0;
-  s.tag = 0;
-  s.kind = 0;
-  s.reason = 0;
-  s.depth = static_cast<uint8_t>(WalkFrames(pc, fp, b, s.pcs, kMaxDepth));
-  EmitSample(s);
+  EmitSample(OnCpuSample(kernel::ks().current, pc, fp, sp));
   errno = saved_errno;
 }
 
@@ -538,12 +522,19 @@ namespace {
 // segments accumulated or an atexit dump would only cover the tail segment.
 int StartImpl(int hz, bool reset) {
   kernel::EnsureInit();
+  const bool first = g_tables == nullptr;
+  if (first) {
+    g_tables = static_cast<Table*>(std::calloc(2, sizeof(Table)));
+    if (g_tables == nullptr) {
+      return ENOMEM;
+    }
+  }
   kernel::Enter();
   if (g_active) {
     kernel::Exit();
     return EBUSY;
   }
-  if (reset || g_oncpu_agg == nullptr) {
+  if (reset || first) {
     ResetSession();
   }
   g_hz = hz > 0 ? hz : kDefaultHz;
@@ -591,8 +582,7 @@ int StartImpl(int hz, bool reset) {
   // deadline order — the collector's 20ms deadline vs a workload's 1ms deadlines can order
   // differently between the (real-time) recording and the (fast-forwarded) replay, so its
   // mere presence would make otherwise-deterministic workloads diverge. Tick sampling does
-  // not need it: ticks emit straight into the ring, the in-kernel emitters fold eagerly
-  // when the ring runs hot, and Stop/Dump drain the remainder.
+  // not need it: ticks and wakes fold straight into the aggregates.
   if (replay::CurrentMode() != replay::Mode::kOff) {
     return 0;
   }
@@ -646,7 +636,7 @@ int Stop() {
 
 bool Active() { return g_active; }
 
-uint64_t SampleCount() { return g_committed.load(std::memory_order_acquire); }
+uint64_t SampleCount() { return g_committed.load(std::memory_order_acquire) + g_kernel_samples; }
 
 uint64_t DroppedCount() { return g_dropped.load(std::memory_order_relaxed); }
 
@@ -657,46 +647,43 @@ int Dump(const char* path) {
     return EINVAL;
   }
   kernel::EnsureInit();
-  kernel::Enter();
-  if (g_oncpu_agg == nullptr) {
-    kernel::Exit();
+  if (g_tables == nullptr) {
     return EINVAL;  // never started
   }
-  DrainRing();
-  PublishShm();  // post-mortem monitors see the frame the dump is about to describe
-  // Copy the aggregates out so file I/O runs outside the monitor.
-  std::vector<Agg> oncpu;
-  std::vector<Agg> offcpu;
-  oncpu.reserve(g_oncpu_agg->size());
-  offcpu.reserve(g_offcpu_agg->size());
-  for (const auto& [h, a] : *g_oncpu_agg) {
-    oncpu.push_back(a);
+  // Copy the aggregates out so file I/O runs outside the monitor. The copy buffer is sized
+  // and allocated outside it too; stacks first seen in between make it size again.
+  Agg* copy = nullptr;
+  uint32_t n[2] = {};
+  for (uint32_t cap = 0;;) {
+    kernel::Enter();
+    CollectOnce();  // post-mortem monitors see the frame the dump is about to describe
+    n[0] = g_tables[0].used;
+    n[1] = g_tables[1].used;
+    if (copy != nullptr && n[0] + n[1] <= cap) {
+      break;
+    }
+    kernel::Exit();
+    std::free(copy);
+    cap = n[0] + n[1] + 64;
+    copy = static_cast<Agg*>(std::malloc(sizeof(Agg) * cap));
+    if (copy == nullptr) {
+      return ENOMEM;
+    }
   }
-  for (const auto& [h, a] : *g_offcpu_agg) {
-    offcpu.push_back(a);
-  }
+  std::memcpy(copy, g_tables[0].entries, sizeof(Agg) * n[0]);
+  std::memcpy(copy + n[0], g_tables[1].entries, sizeof(Agg) * n[1]);
   kernel::Exit();
 
-  FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    return errno;
-  }
-  for (const Agg& a : oncpu) {
-    WriteFolded(f, a, /*offcpu=*/false);
-  }
-  std::fclose(f);
-
+  int err = WriteFoldedFile(path, copy, n[0], /*offcpu=*/false);
   char side[sizeof(g_atexit_path) + 16];
-  std::snprintf(side, sizeof side, "%s.offcpu", path);
-  f = std::fopen(side, "w");
-  if (f == nullptr) {
-    return errno;
+  if (err == 0) {
+    std::snprintf(side, sizeof side, "%s.offcpu", path);
+    err = WriteFoldedFile(side, copy + n[0], n[1], /*offcpu=*/true);
   }
-  for (const Agg& a : offcpu) {
-    WriteFolded(f, a, /*offcpu=*/true);
+  std::free(copy);
+  if (err != 0) {
+    return err;
   }
-  std::fclose(f);
-
   std::snprintf(side, sizeof side, "%s.maps", path);
   return CopyMapsSidecar(side);
 }
@@ -704,10 +691,10 @@ int Dump(const char* path) {
 int CounterSnapshot(CounterPoint* out, int max) {
   kernel::Enter();
   const uint64_t total = g_counter_total;
-  uint64_t first = total > static_cast<uint64_t>(kCounterCap) ? total - kCounterCap : 0;
+  uint64_t first = total > static_cast<uint64_t>(kCounterPoints) ? total - kCounterPoints : 0;
   int n = 0;
   for (uint64_t i = first; i != total && n < max; ++i) {
-    out[n++] = g_counter_ring[i % kCounterCap];
+    out[n++] = g_counter_ring[i % kCounterPoints];
   }
   kernel::Exit();
   return n;

@@ -8,13 +8,14 @@
 //
 // Off-CPU: a subscriber of the probe stream. kSuspend snapshots the blocking call stack into
 // the suspending thread's TCB (profile capture buffer); kReady closes the capture into one
-// ring record weighted by blocked nanoseconds and tagged with the wait object (mutex#/cond#
+// sample weighted by blocked nanoseconds and tagged with the wait object (mutex#/cond#
 // tag + BlockReason).
 //
-// A collector — an ordinary library thread — drains the ring periodically, folds samples into
-// (stack hash → weight) aggregates, publishes a seqlock-versioned shared-memory stats block
-// for tools/fsup_top (FSUP_STATS_SHM), and feeds the Perfetto counter tracks that
-// debug/export interleaves into the Chrome-trace JSON.
+// Samples fold into one fixed-capacity (stack hash → weight) table per kind, allocated when
+// profiling first starts: nothing inside the kernel allocates. A collector — an ordinary
+// library thread — drains the SIGPROF ring periodically, publishes a seqlock-versioned stats
+// block for tools/fsup_top (FSUP_STATS_SHM), and records the points that debug/export turns
+// into Perfetto counter tracks.
 //
 // Export: pt_profile_dump writes flamegraph.pl-compatible folded stacks ("0xPC;0xPC N") with
 // a /proc/self/maps sidecar for offline symbolization; FSUP_PROFILE_FILE arms an atexit dump.
@@ -27,6 +28,8 @@
 #define FSUP_SRC_DEBUG_PROFILER_HPP_
 
 #include <cstdint>
+
+#include "src/debug/counters.hpp"
 
 namespace fsup {
 struct Tcb;
@@ -43,8 +46,9 @@ inline constexpr int kDefaultHz = 997;  // prime, so sampling doesn't phase-lock
 
 // Starts a profiling session: resets aggregates, arms ITIMER_PROF (live mode) or tick
 // piggybacking (record/replay), maps the FSUP_STATS_SHM segment if configured, and spawns the
-// collector thread. Returns 0, EBUSY if already active, or the errno of a failed host call
-// (fault-injectable setitimer) with everything unwound.
+// collector thread. Returns 0, EBUSY if already active, ENOMEM if the first session cannot
+// allocate the aggregate tables, or the errno of a failed host call (fault-injectable
+// setitimer) with everything unwound.
 int Start(int hz);
 
 // Stops the session: disarms the sampler, joins the collector, publishes a final shm frame and
@@ -57,15 +61,16 @@ bool Active();
 //   <path>         folded on-CPU stacks, "0xPC;0xPC count" root-first (flamegraph.pl)
 //   <path>.offcpu  folded off-CPU stacks, weight = blocked microseconds, wait tag as leaf
 //   <path>.maps    copy of /proc/self/maps for offline symbolization
-// Works during or after a session. Returns 0 or an errno.
+// Works during or after a session. Returns 0 or an errno; a failed write reports its errno,
+// or EIO.
 int Dump(const char* path);
 
-// Total committed samples so far (on-CPU + off-CPU); drops excluded. Used by the determinism
-// tests: under record→replay the pair of counts must match exactly.
+// Total samples taken so far (on-CPU + off-CPU); ring drops excluded. Used by the
+// determinism tests: under record→replay the pair of counts must match exactly.
 uint64_t SampleCount();
 uint64_t DroppedCount();
 
-// Off-CPU samples folded so far, one per closed wait; complete once Stop has drained the ring.
+// Off-CPU samples folded so far, one per closed wait.
 uint64_t OffCpuSampleCount();
 
 // Environment hooks (FSUP_PROFILE, FSUP_PROFILE_HZ, FSUP_PROFILE_FILE, FSUP_STATS_SHM), called
@@ -108,15 +113,15 @@ void OnSigprof(void* ucontext);
 
 // ---------------------------------------------------------------------------------------------
 // Counter tracks for the Chrome-trace export ("ph":"C"). The collector appends one point per
-// collection period; export drains them into counter events interleaved with the trace ring.
+// collection period; export turns each field of the counter block into one track.
 // ---------------------------------------------------------------------------------------------
+
+inline constexpr int kCounterPoints = 256;  // newest points kept
 
 struct CounterPoint {
   int64_t t_ns = 0;
-  uint32_t live_threads = 0;
-  uint32_t ready_depth = 0;
-  uint64_t pool_mapped_bytes = 0;
-  uint64_t samples = 0;  // cumulative committed samples at t_ns (export differentiates)
+  Counters counters;     // the shared counter block (debug/counters.hpp) at t_ns
+  uint64_t samples = 0;  // cumulative SampleCount() at t_ns (export differentiates)
 };
 
 // Copies up to max points (oldest first) into out; returns the count. Enters the kernel

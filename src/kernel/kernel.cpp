@@ -82,8 +82,10 @@ void InitRuntime() {
   }
   // FSUP_FASTPATH=0|off|ras: after the trace/metrics env hooks, so the active mode is
   // computed against their final state (the Enable calls above recompute too; this one also
-  // picks up the requested mode itself).
-  sync::fastpath::InitFromEnv();
+  // picks up the requested mode itself). Read on the first init only: a mode a caller
+  // requested survives pt_reinit, which still recomputes the active byte.
+  [[maybe_unused]] static const bool fastpath_env_read = (sync::fastpath::InitFromEnv(), true);
+  sync::fastpath::Recompute();
   // FSUP_RECORD / FSUP_REPLAY / FSUP_EXPLORE_*: armed last so a recording starts with the
   // runtime fully up and a replay finds the same initialized state the recording saw.
   debug::replay::InitFromEnv();

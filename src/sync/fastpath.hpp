@@ -44,7 +44,8 @@ Mode Requested();
 // scheduling policy or a schedule perturbation is enabled.
 void Recompute();
 
-// Parses FSUP_FASTPATH (unset/empty = ras). Called from kernel::EnsureInit.
+// Parses FSUP_FASTPATH (unset/empty = ras) into the requested mode. kernel::EnsureInit calls
+// it on the first init only; a direct call re-reads the environment.
 void InitFromEnv();
 
 }  // namespace fsup::sync::fastpath

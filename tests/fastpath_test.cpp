@@ -32,7 +32,7 @@ using sync::fastpath::Mode;
 class FastpathTest : public ::testing::TestWithParam<Mode> {
  protected:
   void SetUp() override {
-    pt_reinit();  // EnsureInit re-applies FSUP_FASTPATH; tests below override explicitly
+    pt_reinit();
     sync::fastpath::SetRequested(GetParam());
   }
 
@@ -414,10 +414,10 @@ TEST_F(FastpathModeTest, EnvSelectsTheMode) {
   const std::string saved = orig != nullptr ? orig : "";
 
   ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "0", 1));
-  pt_reinit();
+  sync::fastpath::InitFromEnv();
   EXPECT_FALSE(sync::fastpath::Enabled());
   ASSERT_EQ(0, ::setenv("FSUP_FASTPATH", "ras", 1));
-  pt_reinit();
+  sync::fastpath::InitFromEnv();
   EXPECT_EQ(Mode::kRas, sync::fastpath::Active());
 
   if (orig != nullptr) {
@@ -425,7 +425,15 @@ TEST_F(FastpathModeTest, EnvSelectsTheMode) {
   } else {
     ASSERT_EQ(0, ::unsetenv("FSUP_FASTPATH"));
   }
+}
+
+TEST_F(FastpathModeTest, RequestedModeSurvivesReinit) {
+  // EnsureInit reads FSUP_FASTPATH on the first init only, so a test can pin a mode across
+  // the reinit that its own setup performs.
+  sync::fastpath::SetRequested(Mode::kOff);
   pt_reinit();
+  EXPECT_EQ(Mode::kOff, sync::fastpath::Requested());
+  EXPECT_FALSE(sync::fastpath::Enabled());
 }
 
 TEST_F(FastpathModeTest, ObserversDemoteTheActiveMode) {

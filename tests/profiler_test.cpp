@@ -1,21 +1,26 @@
 // Statistical profiler: on-CPU sampling with symbolizable frame-pointer stacks, off-CPU
 // blocked-time attribution to the planted wait object, graceful degradation under injected
 // host-call faults, sampling across lazy stack growth (no SIGSEGV recursion), deterministic
-// sample counts under record→replay, the shared-memory stats segment + fsup_top, the
-// capped thread dumps, and the one counter block every stats view prints.
+// sample counts under record→replay, allocation-free in-kernel aggregation, dump write
+// errors, the shared-memory stats segment + fsup_top, the capped thread dumps, and the one
+// counter block every stats view prints.
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cinttypes>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -27,7 +32,30 @@
 #include "src/debug/trace.hpp"
 #include "src/hostos/fault.hpp"
 #include "src/hostos/unix_if.hpp"
+#include "src/kernel/kernel.hpp"
 #include "src/util/dual_loop_timer.hpp"
+
+// Counts every operator new this binary makes while the Pthreads kernel is held, as long as
+// g_count_kernel_news is set. Profiler folds run in-kernel, some of them from the universal
+// signal handler, which may have interrupted the C library's malloc: none of them may allocate.
+namespace {
+bool g_count_kernel_news = false;
+uint64_t g_kernel_news = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_kernel_news && fsup::kernel::InKernel()) {
+    ++g_kernel_news;
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// noinline: inlined into a delete expression, free() of operator new's pointer trips
+// -Wmismatched-new-delete.
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace fsup {
 namespace {
@@ -263,6 +291,190 @@ TEST_F(ProfilerTest, OffCpuAttributesPlantedMutexContention) {
     }
   }
   EXPECT_GE(blocked_us, 50000u) << "blocked time not attributed to " << want;
+}
+
+// -- allocation-free aggregation ----------------------------------------------------------
+
+constexpr int kRelayThreads = 6;
+constexpr int kRelayRounds = 64;
+
+// A token relays around a ring of threads, one mutex and cond per hop: every hop blocks its
+// receiver on its own cond and, because the passer yields before unlocking, on its own mutex.
+struct Relay {
+  pt_mutex_t m[kRelayThreads];
+  pt_cond_t c[kRelayThreads];
+  bool token[kRelayThreads] = {};
+};
+
+struct RelayArg {
+  Relay* relay;
+  int id;
+};
+
+// depth recursive frames above the wait vary the blocking call stack.
+__attribute__((noinline)) void AwaitToken(Relay* r, int id, int depth) {
+  if (depth > 0) {
+    AwaitToken(r, id, depth - 1);
+    g_sink = g_sink + 1;  // keeps the recursion a real call, not a tail jump
+    return;
+  }
+  pt_mutex_lock(&r->m[id]);
+  while (!r->token[id]) {
+    pt_cond_wait(&r->c[id], &r->m[id]);
+  }
+  r->token[id] = false;
+  pt_mutex_unlock(&r->m[id]);
+}
+
+void PassToken(Relay* r, int to) {
+  pt_mutex_lock(&r->m[to]);
+  r->token[to] = true;
+  pt_cond_signal(&r->c[to]);
+  pt_yield();  // the receiver wakes and blocks on the mutex this thread still holds
+  pt_mutex_unlock(&r->m[to]);
+}
+
+void* RelayThread(void* arg) {
+  const auto* a = static_cast<const RelayArg*>(arg);
+  for (int round = 0; round < kRelayRounds; ++round) {
+    AwaitToken(a->relay, a->id, round % 4);
+    BurnLeaf(100000);  // on-CPU time for the sampler
+    PassToken(a->relay, (a->id + 1) % kRelayThreads);
+  }
+  return nullptr;
+}
+
+TEST_F(ProfilerTest, NothingAllocatesInsideTheKernel) {
+  pt_delay(1000);  // grow the timer heap before counting: the collector sleeps in it
+  Relay relay;
+  for (int i = 0; i < kRelayThreads; ++i) {
+    ASSERT_EQ(0, pt_mutex_init(&relay.m[i], nullptr));
+    ASSERT_EQ(0, pt_cond_init(&relay.c[i]));
+  }
+  // pt_create registers each stack in the stack pool's map inside the kernel, so every relay
+  // thread exists before the session and counting starts after Start has made the collector.
+  RelayArg args[kRelayThreads];
+  pt_thread_t ts[kRelayThreads];
+  for (int i = 0; i < kRelayThreads; ++i) {
+    args[i] = RelayArg{&relay, i};
+    ASSERT_EQ(0, pt_create(&ts[i], nullptr, RelayThread, &args[i]));
+  }
+  pt_yield();  // every relay thread waits for the token
+  ASSERT_EQ(0, pt_profile_start(2000));
+  g_kernel_news = 0;
+  g_count_kernel_news = true;
+  PassToken(&relay, 0);
+  for (pt_thread_t t : ts) {
+    ASSERT_EQ(0, pt_join(t, nullptr));
+  }
+  ASSERT_EQ(0, pt_profile_stop());
+  ASSERT_EQ(0, pt_profile_dump(base_.c_str()));
+  g_count_kernel_news = false;
+
+  EXPECT_EQ(0u, g_kernel_news) << "operator new ran inside the kernel";
+  EXPECT_GE(debug::profiler::OffCpuSampleCount(),
+            static_cast<uint64_t>(kRelayThreads * kRelayRounds));
+  EXPECT_GE(ReadFolded(base_ + ".offcpu").size(), static_cast<size_t>(2 * kRelayThreads))
+      << "the relay blocked on too few distinct stacks";
+  for (int i = 0; i < kRelayThreads; ++i) {
+    ASSERT_EQ(0, pt_cond_destroy(&relay.c[i]));
+    ASSERT_EQ(0, pt_mutex_destroy(&relay.m[i]));
+  }
+}
+
+// More waiters than the SIGPROF ring holds, each on its own mutex: the broadcast readies
+// every one of them inside a single kernel entry, and each wake folds one off-CPU sample.
+constexpr int kHerd = 4200;
+
+struct Herd {
+  pt_cond_t cond;
+  pt_mutex_t m[kHerd];
+  int waiting = 0;
+  bool released = false;
+};
+
+struct HerdArg {
+  Herd* herd;
+  int i;
+};
+
+void* HerdWaiter(void* arg) {
+  const auto* a = static_cast<const HerdArg*>(arg);
+  Herd* h = a->herd;
+  pt_mutex_lock(&h->m[a->i]);
+  ++h->waiting;
+  while (!h->released) {
+    pt_cond_wait(&h->cond, &h->m[a->i]);
+  }
+  pt_mutex_unlock(&h->m[a->i]);
+  return nullptr;
+}
+
+TEST_F(ProfilerTest, BroadcastWakingThousandsDropsNoOffCpuSample) {
+  auto h = std::make_unique<Herd>();
+  auto args = std::make_unique<HerdArg[]>(kHerd);
+  auto ts = std::make_unique<pt_thread_t[]>(kHerd);
+  ASSERT_EQ(0, pt_cond_init(&h->cond));
+  for (pt_mutex_t& m : h->m) {
+    ASSERT_EQ(0, pt_mutex_init(&m, nullptr));
+  }
+  // Off-CPU is the subject; a 1 Hz sampler stays out of the way.
+  ASSERT_EQ(0, pt_profile_start(1));
+  ThreadAttr attr;
+  attr.stack_size = kMinStackSize;
+  for (int i = 0; i < kHerd; ++i) {
+    args[i] = HerdArg{h.get(), i};
+    ASSERT_EQ(0, pt_create(&ts[i], &attr, HerdWaiter, &args[i]));
+  }
+  while (h->waiting < kHerd) {
+    pt_yield();
+  }
+
+  const uint64_t before = debug::profiler::OffCpuSampleCount();
+  h->released = true;
+  ASSERT_EQ(0, pt_cond_broadcast(&h->cond));
+  const uint64_t wakes = debug::profiler::OffCpuSampleCount() - before;
+  for (int i = 0; i < kHerd; ++i) {
+    ASSERT_EQ(0, pt_join(ts[i], nullptr));
+  }
+  ASSERT_EQ(0, pt_profile_stop());
+
+  EXPECT_EQ(static_cast<uint64_t>(kHerd), wakes);
+  EXPECT_EQ(0u, debug::profiler::DroppedCount());
+  ASSERT_EQ(0, pt_cond_destroy(&h->cond));
+  for (pt_mutex_t& m : h->m) {
+    ASSERT_EQ(0, pt_mutex_destroy(&m));
+  }
+}
+
+// -- dump errors ---------------------------------------------------------------------------
+
+TEST_F(ProfilerTest, DumpReportsWriteFailures) {
+  ASSERT_EQ(0, pt_profile_start(0));
+  pt_thread_t t = nullptr;
+  ASSERT_EQ(0, pt_create(&t, nullptr, +[](void*) -> void* {
+    pt_delay(1000 * 1000);
+    return nullptr;
+  }, nullptr));
+  ASSERT_EQ(0, pt_join(t, nullptr));  // one off-CPU sample: main blocked in the join
+  ASSERT_EQ(0, pt_profile_stop());
+
+  // A child whose file-size limit is a few bytes: writes fail with EFBIG (SIGXFSZ ignored)
+  // in whichever of the three files first outgrows it.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::signal(SIGXFSZ, SIG_IGN);
+    const rlimit lim{16, 16};
+    ::setrlimit(RLIMIT_FSIZE, &lim);
+    ::_exit(pt_profile_dump(base_.c_str()));
+  }
+  int status = 0;
+  ASSERT_EQ(child, ::waitpid(child, &status, 0));
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  const int rc = WEXITSTATUS(status);
+  EXPECT_TRUE(rc == EFBIG || rc == EIO) << "dump returned " << rc;
+  EXPECT_EQ(0, pt_profile_dump(base_.c_str()));
 }
 
 // -- fault injection ---------------------------------------------------------------------
@@ -530,8 +742,8 @@ TEST_F(ProfilerTest, TraceExportCarriesCounterTracks) {
 
   EXPECT_NE(std::string::npos, json.find("\"ph\":\"C\"")) << "no counter events";
   EXPECT_NE(std::string::npos, json.find("\"name\":\"live_threads\""));
-  EXPECT_NE(std::string::npos, json.find("\"name\":\"ready_depth\""));
-  EXPECT_NE(std::string::npos, json.find("\"name\":\"stack_pool_mapped_bytes\""));
+  EXPECT_NE(std::string::npos, json.find("\"name\":\"ready_threads\""));
+  EXPECT_NE(std::string::npos, json.find("\"name\":\"pool_mapped_bytes\""));
   EXPECT_NE(std::string::npos, json.find("\"name\":\"samples_per_s\""));
 }
 
