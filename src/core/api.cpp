@@ -695,6 +695,8 @@ long pt_write(int fd, const void* buf, size_t count) {
   }
 }
 
+int pt_close(int fd) { return io::CloseFd(fd); }
+
 int pt_errno() { return errno; }
 
 }  // namespace fsup

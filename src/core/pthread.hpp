@@ -319,6 +319,14 @@ int pt_delay(int64_t duration_ns);
 long pt_read(int fd, void* buf, size_t count);
 long pt_write(int fd, const void* buf, size_t count);
 
+// close(2) for an fd that pt_read/pt_write have waited on. The runtime caches each waited fd's
+// registration with the host's readiness set; a plain close leaves that entry stale, and a
+// later wait on a new file that reuses the fd number never wakes. pt_close drops the entry and
+// wakes the fd's waiters (their pt_read/pt_write returns -1 with EBADF, unless the number was
+// already reused), then closes. Close every such fd with pt_close before its number can be
+// reused. Returns close's result.
+int pt_close(int fd);
+
 // Per-thread errno (swapped with the global errno at context switches, as in the paper).
 int pt_errno();
 

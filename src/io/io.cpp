@@ -73,13 +73,20 @@ bool EnsureEpoll() {
   return g_epfd >= 0;
 }
 
-FdState* GetOrCreate(int fd) {
-  FdState** bucket = &g_buckets[BucketOf(fd)];
-  for (FdState* s = *bucket; s != nullptr; s = s->next) {
+FdState* Find(int fd) {
+  for (FdState* s = g_buckets[BucketOf(fd)]; s != nullptr; s = s->next) {
     if (s->fd == fd) {
       return s;
     }
   }
+  return nullptr;
+}
+
+FdState* GetOrCreate(int fd) {
+  if (FdState* s = Find(fd)) {
+    return s;
+  }
+  FdState** bucket = &g_buckets[BucketOf(fd)];
   FdState* s = g_free;
   if (s != nullptr) {
     g_free = s->next;
@@ -157,6 +164,14 @@ void DetachWaiter(FdState* s, Tcb* t) {
   t->io_wait_node = nullptr;
 }
 
+// Readies t as io-ready: its pt_read/pt_write retries the operation.
+void WakeWaiter(FdState* s, Tcb* t) {
+  DetachWaiter(s, t);
+  t->io_ready = true;
+  kernel::MakeReady(t);
+  ++g_stats.wakeups;
+}
+
 // Wakes every waiter on s whose mask intersects the reported readiness (error-class events
 // wake all, as poll(2) reports POLLERR/POLLHUP regardless of the requested mask).
 int WakeMatching(FdState* s, uint32_t revents) {
@@ -165,10 +180,7 @@ int WakeMatching(FdState* s, uint32_t revents) {
     if ((revents & (EPOLLERR | EPOLLHUP)) != 0 ||
         (revents & ToEpollMask(t->io_events)) != 0) {
       debug::replay::OnIoWake(t->id, revents);
-      DetachWaiter(s, t);
-      t->io_ready = true;
-      kernel::MakeReady(t);
-      ++g_stats.wakeups;
+      WakeWaiter(s, t);
       ++woke;
     }
   });
@@ -334,6 +346,25 @@ int WaitFdReady(int fd, short events) {
   return 0;
 }
 
+int CloseFd(int fd) {
+  kernel::EnsureInit();
+  kernel::Enter();
+  if (FdState* s = Find(fd)) {
+    if (s->registered) {
+      hostos::EpollCtl(g_epfd, EPOLL_CTL_DEL, fd, nullptr);
+    }
+    s->waiters.ForEachSafe([&](Tcb* t) { WakeWaiter(s, t); });
+    FreeFdState(s);
+  }
+  // Closed inside the monitor: no woken waiter can run, retry on the still-open fd and
+  // re-register it before the close.
+  const int rc = ::close(fd);
+  const int err = errno;
+  kernel::Exit();
+  errno = err;
+  return rc;
+}
+
 void ForgetThread(Tcb* t) {
   FdState* s = static_cast<FdState*>(t->io_wait_node);
   if (s == nullptr) {
@@ -346,10 +377,7 @@ void ForgetThread(Tcb* t) {
 void ReplayWake(Tcb* t) {
   FdState* s = static_cast<FdState*>(t->io_wait_node);
   FSUP_CHECK_MSG(s != nullptr, "replayed io wake for a thread not blocked on an fd");
-  DetachWaiter(s, t);
-  t->io_ready = true;
-  kernel::MakeReady(t);
-  ++g_stats.wakeups;
+  WakeWaiter(s, t);
   MaybeReclaim(s);  // no-op while the node is registered (it stays as the interest cache)
 }
 

@@ -61,6 +61,13 @@ void PollOnce(int64_t timeout_ns);
 // *outside* the kernel; it enters itself.
 int WaitFdReady(int fd, short events);
 
+// Closes fd for pt_close. A plain close(2) leaves the fd's node marked registered although the
+// kernel dropped the fd from the interest set, so a wait on a file reusing the number would be
+// a cache hit that never wakes. Under the monitor: deregisters the fd, wakes its waiters (their
+// retry sees EBADF), drops its node, then close(2)s it. Returns close's result with its errno.
+// In kernel: no.
+int CloseFd(int fd);
+
 // Removes t from its fd's wait list (fake-call unblocking, thread reap, reset). O(1).
 void ForgetThread(Tcb* t);
 

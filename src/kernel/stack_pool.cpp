@@ -10,8 +10,12 @@
 namespace fsup {
 namespace {
 
-// Default recycle budget: enough for bursty create/join batches across several size classes
-// (e.g. 256 default 128 KiB stacks) without pinning unbounded address space.
+// Default recycle budget, in committed bytes: up to 2048 lazily committed stacks of any class
+// (each charged the 16 KiB floor), or 32 MiB of fully committed ones. Committed pages bound
+// what the free lists can pin in memory; the reservations behind them are PROT_NONE address
+// space, which x86-64's 128 TiB user half does not run short of, and the floor bounds the
+// parked count and with it the pool's VMA count. Under RLIMIT_AS a failed map releases the
+// reservations held beyond the budget (AttachStack).
 constexpr size_t kDefaultPoolBudgetBytes = 32u << 20;
 
 size_t ReadBudgetFromEnv() {
@@ -66,7 +70,7 @@ StackPool::StackPool(size_t precache) : precache_target_(precache) {
     ++class_stats_[ClassIndex(mapped)].misses;
     PushFree(base, mapped, static_cast<char*>(base) + mapped - hostos::StackInitialCommit());
   }
-  EvictOverBudget();
+  EvictLargestFirst(free_charge_);
 }
 
 StackPool::~StackPool() {
@@ -82,6 +86,13 @@ StackPool::~StackPool() {
   }
   free_count_ = 0;
   free_bytes_ = 0;
+  free_charge_ = 0;
+  live_.clear();  // every registry node goes back on the free list, released here
+  while (live_free_nodes_ != nullptr) {
+    void* node = live_free_nodes_;
+    std::memcpy(&live_free_nodes_, node, sizeof(void*));
+    ::operator delete(node);
+  }
 }
 
 // The free-list node sits at the very top of the stack: with lazy commit the base pages may
@@ -94,6 +105,7 @@ void StackPool::PushFree(void* usable_base, size_t mapped, char* commit_lo) {
   free_heads_[cls] = fs;
   ++free_count_;
   free_bytes_ += mapped;
+  free_charge_ += fs->Charge();
   NoteMapped();
 }
 
@@ -105,6 +117,7 @@ void* StackPool::TakePooledStack(int cls, size_t* size_out, char** commit_lo_out
   free_heads_[cls] = fs->next;
   --free_count_;
   free_bytes_ -= fs->mapped_size;
+  free_charge_ -= fs->Charge();
   ++stack_reuses_;
   *size_out = fs->mapped_size;
   *commit_lo_out = fs->commit_lo;
@@ -113,13 +126,13 @@ void* StackPool::TakePooledStack(int cls, size_t* size_out, char** commit_lo_out
   return base;
 }
 
-// Largest-first eviction: pop from the highest occupied class until the mapped bytes held by
-// the free lists fit the budget again. Counting mapped (not committed) bytes is deliberate —
-// the budget bounds address-space pinning, and a lazily committed giant stack still pins its
-// full reservation.
-void StackPool::EvictOverBudget() {
+// Largest-first eviction: pop from the highest occupied class until `held` — free_charge_ on
+// every Free, free_bytes_ when a map has failed — fits the budget again. Returns whether
+// anything was evicted.
+bool StackPool::EvictLargestFirst(const size_t& held) {
+  bool evicted = false;
   int cls = kNumClasses - 1;
-  while (free_bytes_ > budget_bytes_ && cls >= 0) {
+  while (held > budget_bytes_ && cls >= 0) {
     if (free_heads_[cls] == nullptr) {
       --cls;
       continue;
@@ -130,7 +143,9 @@ void StackPool::EvictOverBudget() {
     --stack_reuses_;  // eviction is not a reuse
     ++class_stats_[cls].evictions;
     hostos::UnmapStack(base, mapped);
+    evicted = true;
   }
+  return evicted;
 }
 
 Tcb* StackPool::AllocateNoStack() {
@@ -164,21 +179,14 @@ bool StackPool::AttachStack(Tcb* t, size_t stack_size) {
   const size_t usable = (stack_size + page - 1) & ~(page - 1);
   const int cls = ClassIndex(usable);
 
-  void* stack = nullptr;
   size_t mapped = 0;
   char* commit_lo = nullptr;
-  stack = TakePooledStack(cls, &mapped, &commit_lo);
+  void* stack = TakePooledStack(cls, &mapped, &commit_lo);
   if (stack != nullptr) {
     ++class_stats_[cls].hits;
   } else {
-    stack = hostos::MapStack(usable, &mapped);
-    if (stack != nullptr) {
-      ++stack_maps_;
-      if (cls >= 0) {
-        ++class_stats_[cls].misses;
-      }
-      commit_lo = static_cast<char*>(stack) + mapped - hostos::StackInitialCommit();
-    } else {
+    stack = MapFresh(usable, &mapped, &commit_lo);
+    if (stack == nullptr) {
       // The map failed (address space exhausted or an injected fault). Degrade before
       // failing: a recycled stack freed since the first probe (zombie reaping runs between
       // the two) can still satisfy a class-size request.
@@ -186,6 +194,11 @@ bool StackPool::AttachStack(Tcb* t, size_t stack_size) {
       if (stack != nullptr) {
         ++class_stats_[cls].hits;
       }
+    }
+    // The committed-bytes budget lets the other classes' parked stacks pin more address space
+    // than their charge says. Release the reservations beyond the budget and map once more.
+    if (stack == nullptr && EvictLargestFirst(free_bytes_)) {
+      stack = MapFresh(usable, &mapped, &commit_lo);
     }
     if (stack == nullptr) {
       ++alloc_failures_;
@@ -201,6 +214,19 @@ bool StackPool::AttachStack(Tcb* t, size_t stack_size) {
   t->stack_commit_lo = commit_lo;
   RegisterLive(t);
   return true;
+}
+
+void* StackPool::MapFresh(size_t usable, size_t* size_out, char** commit_lo_out) {
+  void* stack = hostos::MapStack(usable, size_out);
+  if (stack == nullptr) {
+    return nullptr;
+  }
+  ++stack_maps_;
+  if (const int cls = ClassIndex(*size_out); cls >= 0) {
+    ++class_stats_[cls].misses;
+  }
+  *commit_lo_out = static_cast<char*>(stack) + *size_out - hostos::StackInitialCommit();
+  return stack;
 }
 
 Tcb* StackPool::Allocate(size_t stack_size) {
@@ -233,7 +259,7 @@ void StackPool::Free(Tcb* t) {
   }
   if (recycle) {
     PushFree(stack, mapped, commit_lo);
-    EvictOverBudget();
+    EvictLargestFirst(free_charge_);
     return;
   }
   hostos::UnmapStack(stack, mapped);

@@ -4,10 +4,10 @@
 // sporadically may result in kernel calls to sbrk. This could be avoided in most cases by
 // preallocating a pool of thread control blocks and stacks" — and its Table 2 creation metric
 // is measured with the pool warm. This module is that pool, grown for million-thread working
-// sets: stacks are recycled on power-of-two size-class free lists under a bytes-based budget
-// (odd sizes bypass the pool), TCBs come from a growable slab allocator, and a sorted registry
-// of live stacks lets the SIGSEGV handler classify a fault — lazy-commit demand paging versus
-// guard-page overflow — in O(log n) instead of walking every thread.
+// sets: stacks are recycled on power-of-two size-class free lists under a committed-bytes
+// budget (odd sizes bypass the pool), TCBs come from a growable slab allocator, and a sorted
+// registry of live stacks lets the SIGSEGV handler classify a fault — lazy-commit demand
+// paging versus guard-page overflow — in O(log n) instead of walking every thread.
 
 #ifndef FSUP_SRC_KERNEL_STACK_POOL_HPP_
 #define FSUP_SRC_KERNEL_STACK_POOL_HPP_
@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <map>
 
 #include "src/debug/counters.hpp"
@@ -52,9 +53,10 @@ class StackPool {
   Tcb* AllocateNoStack();
 
   // Attaches a stack to a TCB created with AllocateNoStack. On mmap failure (exhaustion,
-  // injected fault) falls back to retrying the request's size-class free list before giving
-  // up; false only when both sources are dry, with no pool state leaked. errno is left as the
-  // map failure set it.
+  // injected fault) falls back to the request's size-class free list, then releases the
+  // address space other classes' parked stacks hold beyond the budget and retries the map
+  // once; false only when every source is dry, with no pool state leaked. errno is left as
+  // the last map failure set it.
   bool AttachStack(Tcb* t, size_t stack_size);
 
   // Destroys and recycles a TCB + stack obtained from Allocate().
@@ -112,6 +114,14 @@ class StackPool {
     FreeStack* next;
     size_t mapped_size;
     char* commit_lo;
+
+    // What parking this stack costs against the budget: its committed span (an upper bound
+    // on its RSS), floored at one minimum class so the parked count stays bounded too.
+    size_t Charge() const {
+      const auto* top = reinterpret_cast<const char*>(this + 1);
+      const auto committed = static_cast<size_t>(top - commit_lo);
+      return committed > kMinStackSize ? committed : kMinStackSize;
+    }
   };
 
   struct LiveStack {
@@ -119,9 +129,46 @@ class StackPool {
     Tcb* owner;
   };
 
+  // Allocator for live_'s nodes. A freed node goes on the pool's intrusive free list and the
+  // next insertion takes it back, so the registry calls operator new only when the live count
+  // reaches a new high-water mark: a warm create/join allocates nothing inside the kernel.
+  template <class T>
+  struct NodeRecycler {
+    using value_type = T;
+    void** free_list;
+
+    explicit NodeRecycler(void** list) : free_list(list) {}
+    template <class U>
+    NodeRecycler(const NodeRecycler<U>& other) : free_list(other.free_list) {}  // rebind
+
+    T* allocate(size_t n) {
+      if (n == 1 && *free_list != nullptr) {
+        void* node = *free_list;
+        std::memcpy(free_list, node, sizeof(void*));
+        return static_cast<T*>(node);
+      }
+      return static_cast<T*>(::operator new(n * sizeof(T)));
+    }
+    void deallocate(T* p, size_t n) {
+      if (n != 1) {
+        ::operator delete(p);
+        return;
+      }
+      std::memcpy(p, free_list, sizeof(void*));
+      *free_list = p;
+    }
+    template <class U>
+    bool operator==(const NodeRecycler<U>& other) const {
+      return free_list == other.free_list;
+    }
+  };
+  using LiveMap = std::map<const char*, LiveStack, std::less<const char*>,
+                           NodeRecycler<std::pair<const char* const, LiveStack>>>;
+
   void* TakePooledStack(int cls, size_t* size_out, char** commit_lo_out);
+  void* MapFresh(size_t usable, size_t* size_out, char** commit_lo_out);
   void PushFree(void* usable_base, size_t mapped, char* commit_lo);
-  void EvictOverBudget();
+  bool EvictLargestFirst(const size_t& held);
   void RegisterLive(Tcb* t);
   void UnregisterLive(Tcb* t);
 
@@ -129,7 +176,8 @@ class StackPool {
   FreeStack* free_heads_[kNumClasses] = {};
   size_t free_count_ = 0;
   size_t free_bytes_ = 0;    // mapped (reserved) bytes across all free lists
-  size_t budget_bytes_ = 0;  // FSUP_STACK_POOL_BYTES; eviction is largest-first
+  size_t free_charge_ = 0;   // FreeStack::Charge() summed across all free lists
+  size_t budget_bytes_ = 0;  // FSUP_STACK_POOL_BYTES: bound on free_charge_, largest-first
   size_t precache_target_;
   uint64_t stack_reuses_ = 0;
   uint64_t stack_maps_ = 0;
@@ -149,8 +197,10 @@ class StackPool {
 
   // Live stacks ordered by usable base. Mutated only inside the kernel monitor; the busy flag
   // (with signal fences) lets the handler detect the impossible-in-theory mid-mutation fault
-  // and degrade safely instead of walking a broken tree.
-  std::map<const char*, LiveStack> live_;
+  // and degrade safely instead of walking a broken tree. Its nodes recycle through
+  // live_free_nodes_ (NodeRecycler); the destructor releases them.
+  void* live_free_nodes_ = nullptr;
+  LiveMap live_{LiveMap::allocator_type(&live_free_nodes_)};
   std::atomic<int> registry_busy_{0};
 };
 

@@ -9,6 +9,9 @@
 //   3. sig::ExternalWakeupPossible runs on counters: handler-install churn and sigwait wake
 //      (and cancellation) cycles must leave the counters balanced, or deadlock detection
 //      either misfires or goes blind.
+//   4. An fd number reused after pt_close gets a fresh interest registration: with a plain
+//      close(2) the cached node still read "registered", the wait on the new file made no
+//      epoll_ctl call, and it never woke.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +19,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <climits>
 #include <csignal>
+#include <thread>
 
 #include "src/core/pthread.hpp"
 #include "src/hostos/fault.hpp"
@@ -213,6 +218,100 @@ void RunDeadlockAfterChurn() {
 
 TEST_F(IoRegressTest, DeadlockDetectionSurvivesHandlerAndSigwaitChurn) {
   EXPECT_DEATH(RunDeadlockAfterChurn(), "DEADLOCK");
+}
+
+// Runs body on a fresh runtime in a forked child. Returns the child's exit code, or -1 if it
+// had not exited after five seconds (it is killed): a lost wakeup fails the test, not ctest.
+int RunInChildWithTimeout(int (*body)()) {
+  const pid_t child = ::fork();
+  if (child == 0) {
+    pt_reinit();
+    ::_exit(body());
+  }
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    int status = 0;
+    if (::waitpid(child, &status, WNOHANG) == child) {
+      return WIFEXITED(status) ? WEXITSTATUS(status) : 128 + WTERMSIG(status);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(child, SIGKILL);
+  ::waitpid(child, nullptr, 0);
+  return -1;
+}
+
+struct OneByteRead {
+  int fd = -1;
+  long n = 0;
+  int err = 0;
+  char got = 0;
+};
+
+void* ReadOneByte(void* arg) {
+  auto* r = static_cast<OneByteRead*>(arg);
+  r->n = pt_read(r->fd, &r->got, 1);
+  r->err = r->n < 0 ? errno : 0;
+  return nullptr;
+}
+
+// A reader thread blocks on fd until main writes one byte to wfd. Returns the byte, or -1.
+int ReadAcrossWrite(int fd, int wfd, char byte) {
+  OneByteRead r;
+  r.fd = fd;
+  pt_thread_t reader;
+  if (pt_create(&reader, nullptr, &ReadOneByte, &r) != 0) {
+    return -1;
+  }
+  pt_yield();  // the reader blocks on the empty pipe
+  if (io::GetStats().active_waiters != 1 || ::write(wfd, &byte, 1) != 1) {
+    return -1;
+  }
+  pt_join(reader, nullptr);  // hangs if the write never wakes the reader
+  return r.n == 1 ? r.got : -1;
+}
+
+int WaitAcrossFdReuse() {
+  int a[2];
+  if (::pipe(a) != 0 || ReadAcrossWrite(a[0], a[1], 'a') != 'a') {
+    return 2;
+  }
+  if (pt_close(a[0]) != 0 || ::close(a[1]) != 0) {
+    return 3;
+  }
+  int b[2];
+  if (::pipe(b) != 0 || b[0] != a[0]) {
+    return 4;  // the new pipe must reuse the waited fd number
+  }
+  return ReadAcrossWrite(b[0], b[1], 'b') == 'b' ? 0 : 5;
+}
+
+TEST_F(IoRegressTest, WaitOnReusedFdNumberAfterPtCloseWakes) {
+  EXPECT_EQ(0, RunInChildWithTimeout(&WaitAcrossFdReuse));
+}
+
+int CloseUnderBlockedReader() {
+  int p[2];
+  if (::pipe(p) != 0) {
+    return 2;
+  }
+  OneByteRead r;
+  r.fd = p[0];
+  pt_thread_t reader;
+  if (pt_create(&reader, nullptr, &ReadOneByte, &r) != 0) {
+    return 3;
+  }
+  pt_yield();  // the reader blocks on the empty pipe
+  if (pt_close(p[0]) != 0) {
+    return 4;
+  }
+  pt_join(reader, nullptr);  // hangs if pt_close left the reader waiting
+  ::close(p[1]);
+  return r.n == -1 && r.err == EBADF && io::GetStats().cached_fds == 0 ? 0 : 5;
+}
+
+TEST_F(IoRegressTest, PtCloseWakesTheFdsWaitersWithEbadf) {
+  EXPECT_EQ(0, RunInChildWithTimeout(&CloseUnderBlockedReader));
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Statistical profiler: on-CPU sampling with symbolizable frame-pointer stacks, off-CPU
 // blocked-time attribution to the planted wait object, graceful degradation under injected
 // host-call faults, sampling across lazy stack growth (no SIGSEGV recursion), deterministic
-// sample counts under record→replay, allocation-free in-kernel aggregation, dump write
-// errors, the shared-memory stats segment + fsup_top, the capped thread dumps, and the one
-// counter block every stats view prints.
+// sample counts under record→replay, allocation-free in-kernel aggregation and warm thread
+// creation, dump write errors, the shared-memory stats segment + fsup_top, the capped thread
+// dumps, and the one counter block every stats view prints.
 
 #include <gtest/gtest.h>
 
@@ -38,6 +38,8 @@
 // Counts every operator new this binary makes while the Pthreads kernel is held, as long as
 // g_count_kernel_news is set. Profiler folds run in-kernel, some of them from the universal
 // signal handler, which may have interrupted the C library's malloc: none of them may allocate.
+// Nor may a warm pt_create/pt_join: the SIGSEGV handler reads the live-stack registry they
+// mutate.
 namespace {
 bool g_count_kernel_news = false;
 uint64_t g_kernel_news = 0;
@@ -351,8 +353,9 @@ TEST_F(ProfilerTest, NothingAllocatesInsideTheKernel) {
     ASSERT_EQ(0, pt_mutex_init(&relay.m[i], nullptr));
     ASSERT_EQ(0, pt_cond_init(&relay.c[i]));
   }
-  // pt_create registers each stack in the stack pool's map inside the kernel, so every relay
-  // thread exists before the session and counting starts after Start has made the collector.
+  // pt_create allocates a live-stack registry node inside the kernel whenever the live count
+  // reaches a new high, so every relay thread exists before the session and counting starts
+  // after Start has made the collector.
   RelayArg args[kRelayThreads];
   pt_thread_t ts[kRelayThreads];
   for (int i = 0; i < kRelayThreads; ++i) {
@@ -380,6 +383,24 @@ TEST_F(ProfilerTest, NothingAllocatesInsideTheKernel) {
     ASSERT_EQ(0, pt_cond_destroy(&relay.c[i]));
     ASSERT_EQ(0, pt_mutex_destroy(&relay.m[i]));
   }
+}
+
+// Once the live count has been this high before, a create/join cycle reuses the TCB slot, the
+// pooled stack and the registry node: no operator new inside the kernel.
+TEST_F(ProfilerTest, WarmCreateAndJoinAllocateNothingInsideTheKernel) {
+  auto body = +[](void*) -> void* { return nullptr; };
+  pt_thread_t t;
+  ASSERT_EQ(0, pt_create(&t, nullptr, body, nullptr));
+  ASSERT_EQ(0, pt_join(t, nullptr));
+  g_kernel_news = 0;
+  g_count_kernel_news = true;
+  int failures = 0;
+  for (int i = 0; i < 100; ++i) {
+    failures += pt_create(&t, nullptr, body, nullptr) != 0 || pt_join(t, nullptr) != 0;
+  }
+  g_count_kernel_news = false;
+  EXPECT_EQ(0, failures);
+  EXPECT_EQ(0u, g_kernel_news) << "operator new ran inside the kernel";
 }
 
 // More waiters than the SIGPROF ring holds, each on its own mutex: the broadcast readies

@@ -1,7 +1,8 @@
 // Size-classed stack pool edge cases: class geometry, per-class recycling, the non-pow2
-// bypass, the bytes-based recycle budget with largest-first eviction, lazy-commit demand
-// paging (unit level via ClassifyStackFault and end-to-end via a deep-frame thread), and the
-// commit watermark a recycled stack keeps.
+// bypass, the committed-bytes recycle budget with largest-first eviction and its release of
+// parked reservations when a map fails, lazy-commit demand paging (unit level via
+// ClassifyStackFault and end-to-end via a deep-frame thread), and the commit watermark a
+// recycled stack keeps.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "src/core/attr.hpp"
 #include "src/core/bench_probes.hpp"
 #include "src/core/pthread.hpp"
+#include "src/hostos/fault.hpp"
 #include "src/hostos/unix_if.hpp"
 #include "src/kernel/stack_pool.hpp"
 
@@ -25,6 +27,7 @@ class StackPoolTest : public ::testing::Test {
     pt_reinit();
   }
   void TearDown() override {
+    hostos::fault::Clear();
     ::unsetenv("FSUP_STACK_COMMIT");
     ::unsetenv("FSUP_STACK_POOL_BYTES");
     hostos::RefreshStackConfig();
@@ -85,8 +88,9 @@ TEST_F(StackPoolTest, NonPow2SizesBypassTheFreeLists) {
 }
 
 TEST_F(StackPoolTest, BudgetEvictsLargestFirst) {
-  // Budget below big+small: freeing both must evict the 1 MiB stack and keep the 16 KiB one
-  // (largest-first bounds address-space pinning while keeping the cheap, common classes warm).
+  // A fully committed 1 MiB stack is charged 1 MiB, over a 64 KiB budget: freeing both must
+  // evict the big stack and keep the 16 KiB one (largest-first bounds the memory the free
+  // lists pin while keeping the cheap, common classes warm).
   ASSERT_EQ(0, ::setenv("FSUP_STACK_POOL_BYTES", "65536", 1));
   StackPool pool(0);
   EXPECT_EQ(65536u, pool.pool_budget_bytes());
@@ -94,17 +98,79 @@ TEST_F(StackPoolTest, BudgetEvictsLargestFirst) {
   Tcb* small = pool.Allocate(kMinStackSize);
   ASSERT_NE(nullptr, big);
   ASSERT_NE(nullptr, small);
+  ASSERT_TRUE(StackPool::CommitFaultOnThread(big->stack_base, big));  // commit all 1 MiB
   void* small_base = small->stack_base;
   pool.Free(small);
   EXPECT_EQ(1u, pool.pooled_stacks());  // under budget: kept
   pool.Free(big);
   EXPECT_EQ(1u, pool.pooled_stacks());  // over budget: the 1 MiB entry was evicted
   EXPECT_EQ(size_t{kMinStackSize}, pool.pooled_bytes());
+  EXPECT_EQ(1u, pool.class_stats(StackPool::ClassIndex(1u << 20)).evictions);
 
   Tcb* small2 = pool.Allocate(kMinStackSize);
   ASSERT_NE(nullptr, small2);
   EXPECT_EQ(small_base, small2->stack_base);
   pool.Free(small2);
+}
+
+// Allocates n stacks of `size` bytes from pool, then frees them all.
+void AllocateAndFree(StackPool* pool, size_t size, int n) {
+  Tcb* ts[16];
+  ASSERT_LE(n, 16);
+  for (int i = 0; i < n; ++i) {
+    ts[i] = pool->Allocate(size);
+    ASSERT_NE(nullptr, ts[i]);
+  }
+  for (int i = 0; i < n; ++i) {
+    pool->Free(ts[i]);
+  }
+}
+
+TEST_F(StackPoolTest, LazyParkedStacksAreChargedTheirCommittedBytes) {
+  // A never-faulted 1 MiB stack has only its initial 16 KiB committed, and that is what it is
+  // charged: a 64 KiB budget keeps four of them parked, though they reserve 4 MiB.
+  ASSERT_EQ(0, ::setenv("FSUP_STACK_POOL_BYTES", "65536", 1));
+  StackPool pool(0);
+  ASSERT_EQ(size_t{kMinStackSize}, hostos::StackInitialCommit());
+  AllocateAndFree(&pool, 1u << 20, 5);
+  EXPECT_EQ(4u, pool.pooled_stacks());
+  EXPECT_EQ(size_t{4} << 20, pool.pooled_bytes());  // pooled_bytes stays the reservation
+  EXPECT_EQ(1u, pool.class_stats(StackPool::ClassIndex(1u << 20)).evictions);
+
+  // All four are reused without a fresh map.
+  const uint64_t maps = pool.stack_maps();
+  AllocateAndFree(&pool, 1u << 20, 4);
+  EXPECT_EQ(maps, pool.stack_maps());
+}
+
+TEST_F(StackPoolTest, ChargeFloorCapsTheParkedCount) {
+  // One committed page per stack would let a 64 KiB budget park sixteen; the one-class floor
+  // charges each 16 KiB, so at most budget / kMinStackSize stay parked.
+  ASSERT_EQ(0, ::setenv("FSUP_STACK_COMMIT", "4096", 1));
+  ASSERT_EQ(0, ::setenv("FSUP_STACK_POOL_BYTES", "65536", 1));
+  StackPool pool(0);
+  ASSERT_LT(hostos::StackInitialCommit(), size_t{kMinStackSize});
+  AllocateAndFree(&pool, 1u << 20, 8);
+  EXPECT_EQ(65536 / kMinStackSize, pool.pooled_stacks());
+}
+
+TEST_F(StackPoolTest, FailedMapReleasesOtherClassesParkedStacksAndRetries) {
+  // Four lazily committed 1 MiB stacks fit a 64 KiB charge budget but reserve 4 MiB. When a
+  // map for another class fails, the pool releases the reservations beyond the budget and
+  // maps once more, so the create succeeds.
+  ASSERT_EQ(0, ::setenv("FSUP_STACK_POOL_BYTES", "65536", 1));
+  StackPool pool(0);
+  AllocateAndFree(&pool, 1u << 20, 4);
+  ASSERT_EQ(4u, pool.pooled_stacks());
+
+  hostos::fault::FailNth(hostos::Call::kMmap, 1, ENOMEM);
+  Tcb* t = pool.Allocate(kMinStackSize * 16);
+  ASSERT_NE(nullptr, t);
+  EXPECT_EQ(1u, hostos::fault::InjectedCount(hostos::Call::kMmap));
+  EXPECT_EQ(0u, pool.alloc_failures());
+  EXPECT_EQ(0u, pool.pooled_stacks());
+  EXPECT_EQ(4u, pool.class_stats(StackPool::ClassIndex(1u << 20)).evictions);
+  pool.Free(t);
 }
 
 TEST_F(StackPoolTest, TcbSlotsComeFromTheSlabFreeList) {
